@@ -5,62 +5,32 @@ a FIFO prioritized multi-agent planner on top of it, an independent
 continuous-time conflict validator, and a benchmark harness.
 """
 
-from .constraints import (
-    Constraint,
-    ConstraintTable,
-    TimeInterval,
-    build_table,
-    collision_intervals_for_move,
-    earliest_arrival,
-    relevant_constraints,
-    safe_intervals,
-)
-from .geometry import (
-    AGENT_RADIUS,
-    circle_segment_intersections,
-    closest_point_on_segment,
-    dist_point_segment,
-    swept_cells,
-)
 from .grid import GridMap, MapFormatError, parse_map
 from .planner import (
     GoalUnreachable,
     PlannerMode,
     PlanningError,
     PlanTimeout,
-    Search,
-    SearchState,
     StartUnsafe,
-    heuristic,
     plan,
-    reconstruct,
 )
 from .prioritized import (
     GenerationError,
     Instance,
     InstanceError,
     Solution,
-    WfiReport,
-    check_wfi,
     generate_instance,
     load_agents,
     plan_all,
 )
-from .trajectory import (
-    Trajectory,
-    Waypoint,
-    format_trajectory,
-    parse_trajectory,
-    single_cell_trajectory,
-    solution_cost,
-)
+from .trajectory import Trajectory, Waypoint, format_trajectory
 from .validate import Conflict, ValidationReport, first_conflict, validate_solution
 
+# What the CLI and library callers use, with the exceptions and return types
+# of those calls. Internals (Search, ConstraintTable, TimeInterval, ...) stay
+# importable from their modules.
 __all__ = [
-    "AGENT_RADIUS",
     "Conflict",
-    "Constraint",
-    "ConstraintTable",
     "GenerationError",
     "GoalUnreachable",
     "GridMap",
@@ -70,37 +40,18 @@ __all__ = [
     "PlannerMode",
     "PlanningError",
     "PlanTimeout",
-    "Search",
-    "SearchState",
     "Solution",
     "StartUnsafe",
-    "TimeInterval",
     "Trajectory",
     "ValidationReport",
     "Waypoint",
-    "WfiReport",
-    "build_table",
-    "check_wfi",
-    "circle_segment_intersections",
-    "closest_point_on_segment",
-    "collision_intervals_for_move",
-    "dist_point_segment",
-    "earliest_arrival",
     "first_conflict",
     "format_trajectory",
     "generate_instance",
-    "heuristic",
     "load_agents",
     "parse_map",
-    "parse_trajectory",
     "plan",
     "plan_all",
-    "reconstruct",
-    "relevant_constraints",
-    "safe_intervals",
-    "single_cell_trajectory",
-    "solution_cost",
-    "swept_cells",
     "validate_solution",
 ]
 

@@ -26,7 +26,7 @@ from .prioritized import (
 from .trajectory import format_trajectory
 from .validate import validate_solution
 
-MODE_NAMES = {"aa": PlannerMode.anyangle(), "cardinal": PlannerMode.cardinal()}
+MODE_NAMES = {mode.name: mode for mode in (PlannerMode.anyangle(), PlannerMode.cardinal())}
 CSV_HEADER = "instance,mode,agents,success,time_s,cost,valid,seed"
 
 
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, help="number of agents")
     p.add_argument("--instances", type=int, default=1, help="number of generated instances")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--mode", choices=["aa", "cardinal", "both"], default="both")
+    p.add_argument("--mode", choices=[*MODE_NAMES, "both"], default="both")
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per run")
     p.add_argument("--out", help="output artifact prefix (.csv/.json)")
     p.add_argument("--dump-trajectories", action="store_true")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> BenchConfig:
     grid = parse_map(Path(args.map).read_text())
     map_stem = Path(args.map).stem
-    modes = ["aa", "cardinal"] if args.mode == "both" else [args.mode]
+    modes = list(MODE_NAMES) if args.mode == "both" else [args.mode]
     instances: List[Tuple[str, int, Instance]] = []
     if args.scen:
         inst = load_agents(Path(args.scen).read_text(), grid, max_agents=args.agents)

@@ -65,22 +65,6 @@ class DepartureGuard(NamedTuple):
     w1: float
 
 
-# Trajectory pieces: ("m", ax, ay, bx, by, depart, arrive) for moves and
-# ("w", x, y, t0, t1) for waits (t1 may be inf for the terminal stay).
-def _iter_pieces(traj: Trajectory):
-    wps = traj.waypoints
-    for i, wp in enumerate(wps):
-        x, y = float(wp.cell[0]), float(wp.cell[1])
-        if i == len(wps) - 1:
-            yield ("w", x, y, wp.arrival, INF)
-            break
-        depart = wp.arrival + wp.wait
-        if wp.wait > TOL:
-            yield ("w", x, y, wp.arrival, depart)
-        nxt = wps[i + 1]
-        yield ("m", x, y, float(nxt.cell[0]), float(nxt.cell[1]), depart, nxt.arrival)
-
-
 class ConstraintTable:
     """Per-cell constraints and path-pass index for a set of obstacle
     trajectories. Built incrementally: each trajectory is traced once, as
@@ -88,19 +72,15 @@ class ConstraintTable:
 
     def __init__(self):
         self.cells: Dict[Cell, List[Constraint]] = {}
+        # Affine pieces (see Trajectory.affine_pieces) by the cells they touch.
         self._passes: Dict[Cell, list] = {}
-        self.n_trajectories = 0
 
     def add_trajectory(self, traj: Trajectory) -> None:
         cells = self.cells
         passes = self._passes
-        for piece in _iter_pieces(traj):
-            if piece[0] == "w":
-                cell = (int(round(piece[1])), int(round(piece[2])))
+        for piece in traj.affine_pieces():
+            for cell in swept_cells(piece[2:4], piece[6:8]):
                 passes.setdefault(cell, []).append(piece)
-            else:
-                for cell in swept_cells((piece[1], piece[2]), (piece[3], piece[4])):
-                    passes.setdefault(cell, []).append(piece)
 
         wps = traj.waypoints
         for i in range(len(wps) - 1):
@@ -140,7 +120,6 @@ class ConstraintTable:
                 0.0, 0.0, goal.arrival, INF,
             )
         )
-        self.n_trajectories += 1
 
     def constraints_at(self, cell) -> List[Constraint]:
         return self.cells.get(tuple(cell), [])
@@ -175,15 +154,10 @@ def build_table(obstacles: Sequence[Trajectory]) -> ConstraintTable:
 
 def _piece_windows(cx: float, cy: float, pieces) -> List[Tuple[float, float]]:
     """Exact time windows during which a piece keeps the obstacle center
-    strictly within one diameter of (cx, cy)."""
+    strictly within one diameter of (cx, cy). A wait is a zero-length piece:
+    no crossing, so it is inside for its whole span or not at all."""
     windows = []
-    for piece in pieces:
-        if piece[0] == "w":
-            _, x, y, t0, t1 = piece
-            if math.hypot(x - cx, y - cy) < CONFLICT_DIST - TOL:
-                windows.append((t0, t1))
-            continue
-        _, ax, ay, bx, by, depart, arrive = piece
+    for depart, arrive, ax, ay, _, _, bx, by in pieces:
         hits = circle_segment_intersections((cx, cy), CONFLICT_DIST, (ax, ay), (bx, by))
         a_in = math.hypot(ax - cx, ay - cy) < CONFLICT_DIST - TOL
         b_in = math.hypot(bx - cx, by - cy) < CONFLICT_DIST - TOL
@@ -233,17 +207,6 @@ def _complement(windows: List[Tuple[float, float]]) -> Tuple[TimeInterval, ...]:
             return tuple(out)
     out.append(TimeInterval(t, INF))
     return tuple(out)
-
-
-def safe_intervals(cell, obstacles: Sequence[Trajectory]) -> List[TimeInterval]:
-    """Maximal windows during which an agent parked at `cell` is clear of
-    every obstacle; complement of the merged per-obstacle collision windows.
-    With no obstacle passing nearby this is the single window [0, inf)."""
-    cx, cy = float(cell[0]), float(cell[1])
-    windows = []
-    for traj in obstacles:
-        windows.extend(_piece_windows(cx, cy, list(_iter_pieces(traj))))
-    return list(_complement(_merge(windows)))
 
 
 def relevant_constraints(move_a, move_b, table: ConstraintTable) -> List[Constraint]:

@@ -141,27 +141,6 @@ def _seg_box_dist2(ax, ay, bx, by, cx, cy):
     return (ux * ux + uy * uy).min(axis=-1)
 
 
-def closest_point_on_segment(p, a, b) -> Point:
-    """Projection of p onto segment a-b, clamped to the segment."""
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    if den <= 0.0:
-        return (float(ax), float(ay))
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / den
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return (ax + t * dx, ay + t * dy)
-
-
-def dist_point_segment(p, a, b) -> float:
-    q = closest_point_on_segment(p, a, b)
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 def circle_segment_intersections(center, radius, a, b) -> List[Tuple[Point, float]]:
     """Points where the circle boundary crosses segment a-b.
 

@@ -12,7 +12,7 @@ import math
 import time as _time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .constraints import (
     TOL,
@@ -53,34 +53,23 @@ class PlanTimeout(PlanningError):
 
 @dataclass(frozen=True)
 class PlannerMode:
-    connectivity: int = 8
-    any_angle: bool = True
+    """Cardinal: 4-connected unit moves under a Manhattan heuristic.
+    Any-angle: 8-connected moves plus shortcuts through the parent state
+    under a Euclidean heuristic."""
 
-    def __post_init__(self):
-        if self.connectivity not in (4, 8):
-            raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity}")
+    any_angle: bool = True
 
     @classmethod
     def cardinal(cls) -> "PlannerMode":
-        return cls(connectivity=4, any_angle=False)
+        return cls(any_angle=False)
 
     @classmethod
     def anyangle(cls) -> "PlannerMode":
-        return cls(connectivity=8, any_angle=True)
+        return cls(any_angle=True)
 
     @property
     def name(self) -> str:
-        return "aa" if self.any_angle else ("octile" if self.connectivity == 8 else "cardinal")
-
-
-def heuristic(cfg: Cell, goal: Cell, mode: PlannerMode) -> float:
-    """Admissible lower bound on remaining cost: Manhattan for cardinal
-    connectivity, Euclidean otherwise."""
-    dx = cfg[0] - goal[0]
-    dy = cfg[1] - goal[1]
-    if mode.connectivity == 4:
-        return abs(dx) + abs(dy)
-    return math.hypot(dx, dy)
+        return "aa" if self.any_angle else "cardinal"
 
 
 class SearchState:
@@ -120,7 +109,7 @@ class Search:
         self.mode = mode
         self.deadline = deadline
         self.trace = trace
-        self.steps = _CARDINAL if mode.connectivity == 4 else _OCTILE
+        self.steps = _OCTILE if mode.any_angle else _CARDINAL
         self.nodes = {}
         self.closed = set()
         self.open: list = []
@@ -157,30 +146,11 @@ class Search:
     def _h(self, cfg) -> float:
         dx = cfg[0] - self.goal[0]
         dy = cfg[1] - self.goal[1]
-        if self.mode.connectivity == 4:
-            return float(abs(dx) + abs(dy))
-        return math.hypot(dx, dy)
+        if self.mode.any_angle:
+            return math.hypot(dx, dy)
+        return float(abs(dx) + abs(dy))
 
     # -- successor generation ----------------------------------------------
-
-    def successors(self, cfg, src: SearchState, cells=None) -> List[SearchState]:
-        """States reachable at cfg departing from src within its interval:
-        one candidate per safe interval that survives screening, carrying the
-        earliest collision-free arrival time. The straight move src.cfg -> cfg
-        must already be statically feasible (expand checks this)."""
-        cols, guards = self._cols_for(src.cfg, cfg, cells)
-        m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
-        start_t = src.time + m_time
-        end_t = src.interval.end + m_time
-        out = []
-        for idx, iv in enumerate(self.intervals_at(cfg)):
-            if iv.start > end_t or iv.end < start_t:
-                continue
-            t = earliest_arrival(cols, start_t, end_t, iv, guards, src.cfg, cfg)
-            if t is None:
-                continue
-            out.append(SearchState(cfg, idx, iv, src.g + (t - src.time), t, src))
-        return out
 
     def _relax_via(self, cfg, src: SearchState, cells) -> None:
         cols, guards = self._cols_for(src.cfg, cfg, cells)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .geometry import Cell, Point
 
@@ -84,30 +84,25 @@ class Trajectory:
             wp.cell[1] + frac * (nxt.cell[1] - wp.cell[1]),
         )
 
-    def segments(self) -> Iterator[Tuple[Cell, Cell, float, float]]:
-        """Yields (from_cell, to_cell, depart_time, arrive_time) per move."""
-        wps = self.waypoints
-        for i in range(len(wps) - 1):
-            wp, nxt = wps[i], wps[i + 1]
-            yield wp.cell, nxt.cell, wp.arrival + wp.wait, nxt.arrival
-
-    def affine_pieces(self) -> List[Tuple[float, float, float, float, float, float]]:
-        """Maximal (t0, t1, x0, y0, vx, vy) pieces covering [0, inf)."""
+    def affine_pieces(self) -> List[Tuple[float, ...]]:
+        """Maximal (t0, t1, x0, y0, vx, vy, x1, y1) pieces covering [0, inf):
+        position (x0, y0) + (t - t0) * (vx, vy) on [t0, t1], ending at
+        (x1, y1). A wait or the terminal stay has zero velocity and ends
+        where it starts; the terminal stay's t1 is inf."""
         pieces = []
         wps = self.waypoints
         for i, wp in enumerate(wps):
             x, y = float(wp.cell[0]), float(wp.cell[1])
             if i == len(wps) - 1:
-                pieces.append((wp.arrival, math.inf, x, y, 0.0, 0.0))
+                pieces.append((wp.arrival, math.inf, x, y, 0.0, 0.0, x, y))
                 break
             depart = wp.arrival + wp.wait
             if wp.wait > 0.0:
-                pieces.append((wp.arrival, depart, x, y, 0.0, 0.0))
+                pieces.append((wp.arrival, depart, x, y, 0.0, 0.0, x, y))
             nxt = wps[i + 1]
+            bx, by = float(nxt.cell[0]), float(nxt.cell[1])
             dur = nxt.arrival - depart
-            pieces.append(
-                (depart, nxt.arrival, x, y, (nxt.cell[0] - x) / dur, (nxt.cell[1] - y) / dur)
-            )
+            pieces.append((depart, nxt.arrival, x, y, (bx - x) / dur, (by - y) / dur, bx, by))
         return pieces
 
 

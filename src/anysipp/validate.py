@@ -108,16 +108,17 @@ def validate_solution(instance, solution) -> ValidationReport:
         if traj is None:
             continue
         start, goal = instance.agents[i]
-        if traj.waypoints[0].cell != tuple(start) or abs(traj.waypoints[0].arrival) > 1e-9:
-            report.static_violations.append((i, -1, traj.waypoints[0].cell))
-        if traj.waypoints[-1].cell != tuple(goal):
-            report.static_violations.append((i, -1, traj.waypoints[-1].cell))
-        for j, wp in enumerate(traj.waypoints):
+        wps = traj.waypoints
+        if wps[0].cell != tuple(start) or abs(wps[0].arrival) > 1e-9:
+            report.static_violations.append((i, -1, wps[0].cell))
+        if wps[-1].cell != tuple(goal):
+            report.static_violations.append((i, -1, wps[-1].cell))
+        for j, wp in enumerate(wps):
             if not grid.is_traversable(wp.cell):
                 report.static_violations.append((i, j, wp.cell))
-        for j, (a, b, _, _) in enumerate(traj.segments()):
-            if not grid.move_is_feasible(a, b):
-                report.static_violations.append((i, j, b))
+        for j, (a, b) in enumerate(zip(wps, wps[1:])):
+            if not grid.move_is_feasible(a.cell, b.cell):
+                report.static_violations.append((i, j, b.cell))
     n = len(trajectories)
     for i in range(n):
         if trajectories[i] is None:

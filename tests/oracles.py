@@ -207,7 +207,7 @@ def _min_dist_affine(x, y, vx, vy, t0, t1, traj):
     """Minimum center distance between a probe moving affinely on [t0, t1]
     and a trajectory, evaluated per overlapping piece in closed form."""
     best = math.inf
-    for (q0, q1, ox, oy, ovx, ovy) in _pieces_of(traj):
+    for q0, q1, ox, oy, ovx, ovy, _, _ in _pieces_of(traj):
         lo = max(t0, q0)
         hi = min(t1, q1)
         if hi < lo:
@@ -303,7 +303,6 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
         departure_guards,
         earliest_arrival,
         relevant_constraints,
-        safe_intervals,
         TimeInterval,
     )
 
@@ -319,7 +318,7 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
 
     def ivs_at(cell):
         if cell not in intervals:
-            intervals[cell] = safe_intervals(cell, obstacles)
+            intervals[cell] = table.safe_intervals_at(cell)
         return intervals[cell]
 
     def inside_some_interval(cell, lo, hi):

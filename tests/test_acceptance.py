@@ -20,7 +20,6 @@ from anysipp.constraints import (
     departure_guards,
     earliest_arrival,
     relevant_constraints,
-    safe_intervals,
 )
 from anysipp.cli import BenchConfig, run_benchmark
 from anysipp.geometry import swept_cells
@@ -228,7 +227,7 @@ def test_criterion_7_geometry_oracles():
     for _ in range(1000):
         obstacles = [random_trajectory(rng, size=16, max_moves=3)]
         cell = (rng.randrange(16), rng.randrange(16))
-        ivs = safe_intervals(cell, obstacles)
+        ivs = build_table(obstacles).safe_intervals_at(cell)
         t_end = obstacles[0].final_time + 2.0
         times = np.arange(0.0, t_end, step)
         occ = occupied_mask(cell, obstacles, times)

@@ -13,7 +13,6 @@ from anysipp.constraints import (
     departure_guards,
     earliest_arrival,
     relevant_constraints,
-    safe_intervals,
 )
 from anysipp.validate import first_conflict
 from anysipp.trajectory import Trajectory, Waypoint
@@ -62,7 +61,7 @@ def test_table_goal_constraint_is_half_infinite():
 
 def test_safe_intervals_crossing_obstacle():
     obs = make_traj([(-5, 0), (5, 0)])
-    ivs = safe_intervals((0, 0), [obs])
+    ivs = build_table([obs]).safe_intervals_at((0, 0))
     assert len(ivs) == 2
     assert ivs[0] == pytest.approx((0.0, 4.0))
     assert ivs[1].start == pytest.approx(6.0)
@@ -70,31 +69,22 @@ def test_safe_intervals_crossing_obstacle():
 
 
 def test_safe_intervals_empty_scene():
-    assert safe_intervals((0, 0), []) == [TimeInterval(0.0, INF)]
+    assert build_table([]).safe_intervals_at((0, 0)) == (TimeInterval(0.0, INF),)
 
 
 def test_safe_intervals_merge_back_to_back_obstacles():
     first = make_traj([(-5, 0), (5, 0)])
     second = make_traj([(-5, 0), (5, 0)], waits=[2.0, 0.0])
-    ivs = safe_intervals((0, 0), [first, second])
+    ivs = build_table([first, second]).safe_intervals_at((0, 0))
     assert len(ivs) == 2
     assert ivs[0] == pytest.approx((0.0, 4.0))
     assert ivs[1].start == pytest.approx(8.0)
 
 
 def test_safe_intervals_parked_obstacle_blocks_forever():
-    assert safe_intervals((3, 3), [make_traj([(3, 3)])]) == []
+    assert build_table([make_traj([(3, 3)])]).safe_intervals_at((3, 3)) == ()
     # a neighbor center sits exactly one diameter away: legal forever
-    assert safe_intervals((4, 3), [make_traj([(3, 3)])]) == [TimeInterval(0.0, INF)]
-
-
-def test_table_safe_intervals_match_public_op():
-    rng = random.Random(404)
-    for _ in range(120):
-        obstacles = [random_trajectory(rng) for _ in range(rng.randint(1, 3))]
-        table = build_table(obstacles)
-        cell = (rng.randrange(16), rng.randrange(16))
-        assert list(table.safe_intervals_at(cell)) == safe_intervals(cell, obstacles)
+    assert build_table([make_traj([(3, 3)])]).safe_intervals_at((4, 3)) == (TimeInterval(0.0, INF),)
 
 
 def test_safe_intervals_agree_with_sampled_occupancy():
@@ -103,7 +93,7 @@ def test_safe_intervals_agree_with_sampled_occupancy():
     for _ in range(150):
         obstacles = [random_trajectory(rng) for _ in range(rng.randint(1, 2))]
         cell = (rng.randrange(16), rng.randrange(16))
-        ivs = safe_intervals(cell, obstacles)
+        ivs = build_table(obstacles).safe_intervals_at(cell)
         t_end = max(ob.final_time for ob in obstacles) + 3.0
         times = np.arange(0.0, t_end, step)
         occ = occupied_mask(cell, obstacles, times)
@@ -241,17 +231,17 @@ def run_soundness_trials(seed, trials, size=16):
         b = (rng.randrange(size), rng.randrange(size))
         if a == b:
             continue
-        ivs_a = safe_intervals(a, [obstacle])
+        table = build_table([obstacle])
+        ivs_a = table.safe_intervals_at(a)
         if not ivs_a or ivs_a[0].start > 0:
             continue
-        table = build_table([obstacle])
         relevant = relevant_constraints(a, b, table)
         cols = collision_intervals_for_move(a, b, relevant)
         guards = departure_guards(a, b, relevant)
         m_time = math.hypot(b[0] - a[0], b[1] - a[1])
         start_t = m_time
         end_t = ivs_a[0].end + m_time
-        for iv in safe_intervals(b, [obstacle]):
+        for iv in table.safe_intervals_at(b):
             if iv.start > end_t or iv.end < start_t:
                 continue
             t = earliest_arrival(cols, start_t, end_t, iv, guards, a, b)

@@ -2,17 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from anysipp.geometry import (
-    circle_segment_intersections,
-    closest_point_on_segment,
-    dist_point_segment,
-    swept_cells,
-)
+from anysipp.geometry import circle_segment_intersections, swept_cells
 
-from oracles import sampled_swept_cells, seg_box_distance
+from oracles import _point_seg_dist, sampled_swept_cells, seg_box_distance
 
 
 def test_horizontal_sweep_excludes_grazed_rows():
@@ -77,29 +70,11 @@ def test_sweep_symmetry_and_endpoints_and_size():
         assert len(set(cells)) == len(cells)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
-    st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
-    st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
-)
-def test_dist_equals_norm_of_closest_point(p, a, b):
-    q = closest_point_on_segment(p, a, b)
-    assert dist_point_segment(p, a, b) == pytest.approx(
-        math.hypot(p[0] - q[0], p[1] - q[1]), abs=1e-12
-    )
-
-
-def test_closest_point_examples():
-    assert closest_point_on_segment((0, 1), (-1, 0), (1, 0)) == (0.0, 0.0)
-    assert closest_point_on_segment((5, 5), (0, 0), (1, 0)) == (1.0, 0.0)
-    assert closest_point_on_segment((1, 1), (0, 0), (2, 2)) == (1.0, 1.0)
-
-
 def test_dist_examples():
-    assert dist_point_segment((0, 1), (-1, 0), (1, 0)) == pytest.approx(1.0)
-    assert dist_point_segment((3, 0), (0, 0), (1, 0)) == pytest.approx(2.0)
-    assert dist_point_segment((1, 1), (0, 0), (2, 2)) == pytest.approx(0.0)
+    # The oracle point-segment distance behind seg_box_distance (criterion 7).
+    assert _point_seg_dist(0, 1, -1, 0, 1, 0) == pytest.approx(1.0)
+    assert _point_seg_dist(3, 0, 0, 0, 1, 0) == pytest.approx(2.0)
+    assert _point_seg_dist(1, 1, 0, 0, 2, 2) == pytest.approx(0.0)
 
 
 def test_circle_crossing_chord():
@@ -134,7 +109,7 @@ def test_circle_intersections_lie_on_circle_and_segment():
         prev = -1.0
         for (q, s) in circle_segment_intersections(c, r, a, b):
             assert abs(math.hypot(q[0] - c[0], q[1] - c[1]) - r) < 1e-9
-            assert dist_point_segment(q, a, b) < 1e-9
+            assert _point_seg_dist(*q, *a, *b) < 1e-9
             assert s > prev - 1e-12
             prev = s
             seg_len = math.hypot(b[0] - a[0], b[1] - a[1])

@@ -13,7 +13,6 @@ from anysipp.planner import (
     Search,
     SearchState,
     StartUnsafe,
-    heuristic,
     plan,
     reconstruct,
 )
@@ -100,9 +99,15 @@ def test_timeout_raises():
 
 
 def test_heuristic_values():
-    assert heuristic((0, 0), (3, 4), AA) == pytest.approx(5.0)
-    assert heuristic((0, 0), (3, 4), CARDINAL) == 7
-    assert heuristic((2, 2), (2, 2), AA) == 0.0
+    # The first trace record is the start state (g = 0), so its f is the
+    # heuristic there; the goal record has f = g.
+    for mode, h in ((AA, 5.0), (CARDINAL, 7.0)):
+        trace = []
+        plan(GridMap.empty(8, 8), [], (0, 0), (3, 4), mode, trace=trace)
+        assert trace[0][0] == (0, 0) and trace[0][3] == 0.0
+        assert trace[0][5] == pytest.approx(h)
+        assert trace[-1][0] == (3, 4)
+        assert trace[-1][5] == trace[-1][3]
 
 
 # ------------------------------------------------------ successor mechanics
@@ -111,33 +116,54 @@ def fresh_search(grid, obstacles, goal, mode=AA):
     return Search(grid, build_table(obstacles), goal, mode)
 
 
+def expand_from(search, cfg, g=0.0, parent=None):
+    """Registers a state at cfg in its first safe interval, arriving at time
+    g, and expands it; returns the state."""
+    state = SearchState(cfg, 0, search.intervals_at(cfg)[0], g, g, parent)
+    search.nodes[(cfg, 0)] = state
+    search.expand(state)
+    return state
+
+
+def generated(search, cfg):
+    return sorted(key for key in search.nodes if key[0] == cfg)
+
+
 def test_start_state_has_no_shortcut_successors():
     grid = GridMap.empty(5, 5)
     search = fresh_search(grid, [], (4, 4))
-    root = SearchState((0, 0), 0, search.intervals_at((0, 0))[0], 0.0, 0.0, None)
-    succ = search.successors((1, 1), root)
-    assert len(succ) == 1
-    assert succ[0].time == pytest.approx(math.sqrt(2))
+    root = expand_from(search, (0, 0))
+    # only the three in-bounds neighbors, each reached directly from the root
+    assert sorted(search.nodes) == [((0, 0), 0), ((0, 1), 0), ((1, 0), 0), ((1, 1), 0)]
+    assert all(n.parent is root for n in search.nodes.values() if n is not root)
+    assert search.nodes[((1, 1), 0)].time == pytest.approx(math.sqrt(2))
 
 
 def test_successors_per_free_neighbor_without_obstacles():
     grid = GridMap.empty(5, 5)
     search = fresh_search(grid, [], (4, 4))
-    root = SearchState((2, 2), 0, search.intervals_at((2, 2))[0], 0.0, 0.0, None)
+    expand_from(search, (2, 2))
+    assert len(search.nodes) == 9
     for cfg in [(3, 2), (2, 3), (3, 3), (1, 1)]:
-        (s,) = search.successors(cfg, root)
+        assert generated(search, cfg) == [(cfg, 0)]
+        s = search.nodes[(cfg, 0)]
         assert s.time == pytest.approx(math.hypot(cfg[0] - 2, cfg[1] - 2))
 
 
 def test_shortcut_successor_kept_with_smaller_g():
     grid = GridMap.empty(6, 6)
     search = fresh_search(grid, [], (5, 1))
-    root = SearchState((0, 0), 0, search.intervals_at((0, 0))[0], 0.0, 0.0, None)
-    mid = search.successors((1, 1), root)[0]
-    direct = search.successors((2, 1), mid)[0]
-    via_parent = search.successors((2, 1), root)[0]
-    assert direct.g == pytest.approx(math.sqrt(2) + 1.0)
+    root = expand_from(search, (0, 0))
+    mid = search.nodes[((1, 1), 0)]
+    search.expand(mid)
+    via_parent = search.nodes[((2, 1), 0)]
+    assert via_parent.parent is root
     assert via_parent.g == pytest.approx(math.hypot(2, 1))
+    # the direct move from mid, generated by a mid without a parent
+    other = fresh_search(grid, [], (5, 1))
+    expand_from(other, (1, 1), g=mid.g)
+    direct = other.nodes[((2, 1), 0)]
+    assert direct.g == pytest.approx(math.sqrt(2) + 1.0)
     assert via_parent.g < direct.g
     # the search itself keeps the cheaper one
     traj = plan(grid, [], (0, 0), (2, 1), AA)
@@ -148,8 +174,10 @@ def test_parked_obstacle_kills_all_destination_intervals():
     grid = GridMap.empty(5, 5)
     obstacle = make_traj([(3, 0)])
     search = fresh_search(grid, [obstacle], (4, 0))
-    root = SearchState((2, 0), 0, search.intervals_at((2, 0))[0], 0.0, 0.0, None)
-    assert search.successors((3, 0), root) == []
+    expand_from(search, (2, 0))
+    assert search.intervals_at((3, 0)) == ()
+    assert generated(search, (3, 0)) == []
+    assert generated(search, (1, 0)) == [((1, 0), 0)]
 
 
 def test_interval_screen_and_push():
@@ -162,22 +190,16 @@ def test_interval_screen_and_push():
     assert len(ivs) == 2
     assert ivs[0] == pytest.approx((0.0, 4.0))
     assert ivs[1].start == pytest.approx(6.0)
-    src_iv = search.intervals_at((4, 5))[0]
-    assert math.isinf(src_iv.end)  # perpendicular neighbor is never occupied
-    src = SearchState((4, 5), 0, src_iv, 4.0, 4.0, None)
-    succ = search.successors((5, 5), src)
-    assert len(succ) == 1
-    assert succ[0].interval_index == 1
-    assert succ[0].time >= 6.0 - 1e-9
+    assert math.isinf(search.intervals_at((4, 5))[0].end)  # perpendicular neighbor is never occupied
+    expand_from(search, (4, 5), g=4.0)
+    assert generated(search, (5, 5)) == [((5, 5), 1)]
+    assert search.nodes[((5, 5), 1)].time >= 6.0 - 1e-9
 
 
 def test_blocked_neighbor_generates_nothing():
     grid = GridMap.from_blocked(5, 5, [(3, 2)])
     search = fresh_search(grid, [], (4, 4))
-    root = SearchState((2, 2), 0, search.intervals_at((2, 2))[0], 0.0, 0.0, None)
-    root_key = ((2, 2), 0)
-    search.nodes[root_key] = root
-    search.expand(root)
+    expand_from(search, (2, 2))
     assert ((3, 2), 0) not in search.nodes
 
 
