@@ -12,8 +12,6 @@ import math
 from functools import lru_cache
 from typing import List, Tuple
 
-import numpy as np
-
 AGENT_RADIUS = 0.5
 # Distances within this band of a threshold count as an exact touch.
 GEOM_TOL = 1e-9
@@ -80,65 +78,50 @@ def _swept_general(ax, ay, bx, by) -> Tuple[Cell, ...]:
         ax, ay, bx, by = ay, ax, by, bx
     if ax > bx:
         ax, ay, bx, by = bx, by, ax, ay
-    # |slope| < 1 and both deltas nonzero from here on.
-    m = (by - ay) / (bx - ax)
-    xs = np.arange(ax, bx + 1, dtype=np.float64)
-    xl = np.maximum(xs - 0.5, float(ax))
-    xr = np.minimum(xs + 0.5, float(bx))
-    y1 = ay + m * (xl - ax)
-    y2 = ay + m * (xr - ax)
-    ylo = np.minimum(y1, y2)
-    yhi = np.maximum(y1, y2)
-    # Candidate rows: the line's own batch plus two rows of margin each way;
-    # the exact distance test below decides membership.
-    r0 = np.floor(ylo + 0.5).astype(np.int64) - 2
-    r1 = np.floor(yhi + 0.5).astype(np.int64) + 2
-    width = int((r1 - r0).max()) + 1
-    rows = r0[:, None] + np.arange(width, dtype=np.int64)[None, :]
-    valid = rows <= r1[:, None]
-    cx = np.broadcast_to(xs[:, None], rows.shape)
-    cy = rows.astype(np.float64)
-    d2 = _seg_box_dist2(float(ax), float(ay), float(bx), float(by), cx, cy)
-    lim = AGENT_RADIUS - GEOM_TOL
-    mask = valid & (d2 < lim * lim)
-    cols_hit = np.broadcast_to(
-        np.arange(ax, bx + 1, dtype=np.int64)[:, None], rows.shape
-    )[mask]
-    rows_hit = rows[mask]
-    if steep:
-        return tuple(zip(rows_hit.tolist(), cols_hit.tolist()))
-    return tuple(zip(cols_hit.tolist(), rows_hit.tolist()))
-
-
-def _seg_box_dist2(ax, ay, bx, by, cx, cy):
-    """Squared distance from segment (ax,ay)-(bx,by) to unit boxes at (cx,cy).
-
-    dist(P(t), box) is convex in t, so the minimum over t in [0,1] sits at an
-    endpoint, at a parameter where the moving point crosses a box edge line,
-    or at a stationary point of one of the corner-distance branches. Every
-    candidate is evaluated with the true clamped distance, so extra
-    candidates are harmless.
-    """
+    # 0 < |dy| < dx from here on. Work in doubled coordinates so that cell
+    # edges and corners are integers and every test below is exact.
     dx, dy = bx - ax, by - ay
     den = dx * dx + dy * dy
-    shape = cx.shape
-    cands = [
-        np.zeros(shape), np.ones(shape),
-        ((cx - 0.5) - ax) / dx, ((cx + 0.5) - ax) / dx,
-        ((cy - 0.5) - ay) / dy, ((cy + 0.5) - ay) / dy,
-    ]
-    for ex in (-0.5, 0.5):
-        for ey in (-0.5, 0.5):
-            cands.append(-((ax - (cx + ex)) * dx + (ay - (cy + ey)) * dy) / den)
-    t = np.stack(cands, axis=-1)
-    np.clip(t, 0.0, 1.0, out=t)
-    px = ax + t * dx
-    py = ay + t * dy
-    ux = np.abs(px - cx[..., None]) - 0.5
-    uy = np.abs(py - cy[..., None]) - 0.5
-    np.maximum(ux, 0.0, out=ux)
-    np.maximum(uy, 0.0, out=uy)
-    return (ux * ux + uy * uy).min(axis=-1)
+    hit = _CORNER_HIT * den
+    base = 2 * dx * ay + dx
+    cells = []
+    for x in range(ax, bx + 1):
+        # Rows the segment passes through within this column: distance 0.
+        xl = max(2 * x - 1, 2 * ax) - 2 * ax
+        xr = min(2 * x + 1, 2 * bx) - 2 * ax
+        lo = (base + dy * xl) // (2 * dx)
+        hi = (base + dy * xr) // (2 * dx)
+        if lo > hi:
+            lo, hi = hi, lo
+        # The row on either side is entered iff the segment passes within the
+        # radius of one of the two corners facing it (the endpoints are cell
+        # centers, at least the radius from any other cell); rows further out
+        # are at least sqrt(0.5) away.
+        below = _corner_near(x, 2 * lo - 1, ax, ay, dx, dy, den, hit)
+        above = _corner_near(x, 2 * hi + 1, ax, ay, dx, dy, den, hit)
+        rows = range(lo - 1 if below else lo, hi + 2 if above else hi + 1)
+        if steep:
+            cells += [(r, x) for r in rows]
+        else:
+            cells += [(x, r) for r in rows]
+    return tuple(cells)
+
+
+# A corner is within the radius (less GEOM_TOL) of the segment's line iff
+# cross^2 < _CORNER_HIT * den, where cross is the doubled-coordinate cross
+# product, so that the squared distance is cross^2 / (4 * den).
+_CORNER_HIT = (2 * (AGENT_RADIUS - GEOM_TOL)) ** 2
+
+
+def _corner_near(x, y2, ax, ay, dx, dy, den, hit) -> bool:
+    """Whether either corner (x -+ 0.5, y2 / 2) lies within the radius of the
+    segment (ax, ay) + t * (dx, dy), t in [0, 1]."""
+    py = y2 - 2 * ay
+    for px in (2 * x - 1 - 2 * ax, 2 * x + 1 - 2 * ax):
+        cross = dx * py - dy * px
+        if cross * cross < hit and 0 <= dx * px + dy * py <= 2 * den:
+            return True
+    return False
 
 
 def circle_segment_intersections(center, radius, a, b) -> List[Tuple[Point, float]]:
