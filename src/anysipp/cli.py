@@ -40,6 +40,8 @@ class RunRecord:
     cost: Optional[float]
     valid: Optional[bool]
     seed: int
+    # Text of an unexpected exception that ended the run (JSON output only).
+    error: Optional[str] = None
 
 
 @dataclass
@@ -62,13 +64,23 @@ def _run_instance(task):
     for mode_name in modes:
         mode = MODE_NAMES[mode_name]
         t0 = _time.monotonic()
-        sol = plan_all(instance, mode, timeout=timeout, collect_traces=traces)
-        elapsed = _time.monotonic() - t0
-        success = sol.success
-        valid: Optional[bool] = None
-        if do_validate and success:
-            valid = validate_solution(instance, sol).ok
-            success = success and valid
+        try:
+            sol = plan_all(instance, mode, timeout=timeout, collect_traces=traces)
+            elapsed = _time.monotonic() - t0
+            success = sol.success
+            valid: Optional[bool] = None
+            if do_validate and success:
+                valid = validate_solution(instance, sol).ok
+                success = success and valid
+        except Exception as exc:  # one bad run must not abort the batch
+            records.append(
+                RunRecord(
+                    inst_id, mode_name, instance.n_agents, False,
+                    _time.monotonic() - t0, None, None, seed,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            )
+            continue
         records.append(
             RunRecord(
                 inst_id, mode_name, instance.n_agents, success, elapsed,
@@ -195,7 +207,7 @@ def emit_results(records, summary, prefix: str, dumps=None, traces=None) -> None
             {
                 "instance": r.instance, "mode": r.mode, "agents": r.agents,
                 "success": r.success, "time_s": r.time_s, "cost": r.cost,
-                "valid": r.valid, "seed": r.seed,
+                "valid": r.valid, "seed": r.seed, "error": r.error,
             }
             for r in records
         ],

@@ -130,12 +130,16 @@ class Search:
         key = (src_cfg, cfg)
         model = self._cols.get(key)
         if model is None:
-            if not self.table.cells:
+            table = self.table
+            # A move whose cells the caller did not enumerate (an open-grid
+            # shortcut) is first screened against the obstacle pieces: far
+            # from all of them, it has no relevant constraint.
+            if not table.cells or (cells is None and not table.piece_near(src_cfg, cfg)):
                 model = ((), ())
             else:
                 if cells is None:
                     cells = swept_cells(src_cfg, cfg)
-                relevant = _relevant_from_cells(cells, src_cfg, cfg, self.table)
+                relevant = _relevant_from_cells(cells, src_cfg, cfg, table)
                 model = (
                     tuple(collision_intervals_for_move(src_cfg, cfg, relevant)),
                     tuple(departure_guards(src_cfg, cfg, relevant)),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .geometry import Cell, Point
@@ -104,6 +105,13 @@ class Trajectory:
             dur = nxt.arrival - depart
             pieces.append((depart, nxt.arrival, x, y, (bx - x) / dur, (by - y) / dur, bx, by))
         return pieces
+
+    @cached_property
+    def _pieces_and_starts(self) -> Tuple[List[Tuple[float, ...]], List[float]]:
+        """affine_pieces() and their start times, computed on first use, so
+        that checking a trajectory against many others decomposes it once."""
+        pieces = self.affine_pieces()
+        return pieces, [p[0] for p in pieces]
 
 
 def single_cell_trajectory(cell: Cell) -> Trajectory:

@@ -9,7 +9,6 @@ interval arithmetic beyond the trajectory model itself.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -41,31 +40,29 @@ class ValidationReport:
         return not self.conflicts and not self.static_violations
 
 
-def _piece_at(pieces, starts, time: float):
-    i = bisect_right(starts, time) - 1
-    if i < 0:
-        i = 0
-    return pieces[i]
-
-
 def first_conflict(
     t1: Trajectory, t2: Trajectory, agent_a: int = 0, agent_b: int = 1
 ) -> Optional[Conflict]:
     """Earliest time the two open disks overlap, or None.
 
-    Checks the full timeline including the infinite parked tails.
+    Checks the full timeline including the infinite parked tails. Each
+    trajectory's pieces are computed once and kept with it, so a solution's
+    pairwise check decomposes every trajectory once.
     """
-    pieces1 = t1.affine_pieces()
-    pieces2 = t2.affine_pieces()
-    starts1 = [p[0] for p in pieces1]
-    starts2 = [p[0] for p in pieces2]
-    cuts = sorted({p[0] for p in pieces1} | {p[0] for p in pieces2})
-    spans = list(zip(cuts, cuts[1:])) + [(cuts[-1], math.inf)]
-    for alpha, beta in spans:
-        if beta <= alpha:
-            continue
-        q1 = _piece_at(pieces1, starts1, alpha)
-        q2 = _piece_at(pieces2, starts2, alpha)
+    pieces1, starts1 = t1._pieces_and_starts
+    pieces2, starts2 = t2._pieces_and_starts
+    cuts = sorted(set(starts1).union(starts2))
+    last1, last2 = len(pieces1) - 1, len(pieces2) - 1
+    i1 = i2 = 0
+    for alpha, beta in zip(cuts, cuts[1:] + [math.inf]):
+        # The piece of each trajectory in force at alpha: the last one that
+        # starts at or before it (the first one if none does).
+        while i1 < last1 and starts1[i1 + 1] <= alpha:
+            i1 += 1
+        while i2 < last2 and starts2[i2 + 1] <= alpha:
+            i2 += 1
+        q1 = pieces1[i1]
+        q2 = pieces2[i2]
         x1 = q1[2] + q1[4] * (alpha - q1[0])
         y1 = q1[3] + q1[5] * (alpha - q1[0])
         x2 = q2[2] + q2[4] * (alpha - q2[0])

@@ -3,9 +3,11 @@ import re
 
 import pytest
 
+from anysipp import cli
 from anysipp.cli import (
     BenchConfig,
     RunRecord,
+    emit_results,
     format_csv,
     main,
     parse_csv,
@@ -76,6 +78,36 @@ def test_worker_pool_preserves_record_order():
     records_par, _, _, _ = run_benchmark(small_config(n_instances=3, timeout=30.0, workers=2))
     key = [(r.instance, r.mode, r.success, r.cost) for r in records_seq]
     assert key == [(r.instance, r.mode, r.success, r.cost) for r in records_par]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_error_fails_only_its_runs(monkeypatch, tmp_path, workers):
+    config = small_config(n_instances=3, timeout=30.0, workers=workers)
+    bad_agents = config.instances[1][2].agents
+    real_plan_all = cli.plan_all
+
+    def flaky_plan_all(instance, mode, **kw):
+        if instance.agents == bad_agents:
+            raise ValueError("bad instance")
+        return real_plan_all(instance, mode, **kw)
+
+    monkeypatch.setattr(cli, "plan_all", flaky_plan_all)
+    records, summary, _, _ = run_benchmark(config)
+    assert [(r.instance, r.mode) for r in records] == [
+        (f"t-{k:03d}", m) for k in (0, 1, 2) for m in ("aa", "cardinal")
+    ]
+    for r in records:
+        if r.instance == "t-001":
+            assert (r.success, r.cost, r.valid) == (False, None, None)
+            assert r.error == "ValueError: bad instance"
+        else:
+            assert r.success and r.valid and r.cost is not None and r.error is None
+    assert summary["common"]["count"] == 2
+    emit_results(records, summary, str(tmp_path / "run"))
+    payload = json.loads((tmp_path / "run.json").read_text())
+    errors = [rec["error"] for rec in payload["records"]]
+    assert errors == [None, None, "ValueError: bad instance", "ValueError: bad instance", None, None]
+    assert (tmp_path / "run.csv").read_text().splitlines()[0] == "instance,mode,agents,success,time_s,cost,valid,seed"
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from anysipp.grid import GridMap
 from anysipp.prioritized import Instance
+from anysipp.trajectory import Trajectory
 from anysipp.validate import first_conflict, validate_solution
 
 from oracles import first_sampled_conflict, make_traj, min_distance_sampled, random_trajectory
@@ -117,3 +119,49 @@ def test_validate_solution_skips_missing_trajectories():
     inst = Instance(grid, [((0, 0), (3, 0)), ((0, 1), (3, 1))])
     report = validate_solution(inst, [make_traj([(0, 0), (3, 0)]), None])
     assert report.ok
+
+
+def _random_solution(rng, n, size=12):
+    trajs = [random_trajectory(rng, size=size, max_moves=5) for _ in range(n)]
+    # Random trajectories may share start or goal cells, which Instance
+    # rejects; validate_solution reads only the grid and the agents.
+    inst = SimpleNamespace(
+        grid=GridMap.empty(size, size),
+        agents=[(t.start_cell, t.goal_cell) for t in trajs],
+    )
+    return inst, trajs
+
+
+def test_validate_solution_conflicts_equal_pairwise_first_conflict():
+    rng = random.Random(77)
+    found = 0
+    for _ in range(40):
+        inst, trajs = _random_solution(rng, rng.randint(2, 5))
+        report = validate_solution(inst, trajs)
+        # Fresh copies, so the pairwise reference decomposes them anew.
+        fresh = [Trajectory(list(t.waypoints)) for t in trajs]
+        expected = [
+            c
+            for i in range(len(fresh))
+            for j in range(i + 1, len(fresh))
+            if (c := first_conflict(fresh[i], fresh[j], i, j)) is not None
+        ]
+        assert report.conflicts == expected
+        found += len(expected)
+    assert found > 20
+
+
+def test_validate_solution_decomposes_each_trajectory_once(monkeypatch):
+    calls = {}
+    original = Trajectory.affine_pieces
+
+    def counting(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(Trajectory, "affine_pieces", counting)
+    inst, trajs = _random_solution(random.Random(5), 6)
+    validate_solution(inst, trajs)
+    validate_solution(inst, trajs)
+    assert sorted(calls) == sorted(id(t) for t in trajs)
+    assert set(calls.values()) == {1}
