@@ -39,11 +39,14 @@ def swept_cells(a, b) -> Tuple[Cell, ...]:
     pa, pb = _as_cell(a), _as_cell(b)
     if pb < pa:
         pa, pb = pb, pa
-    return _swept_cached(pa[0], pa[1], pb[0], pb[1])
+    ax, ay = pa
+    bx, by = pb
+    if bx - ax <= SHORT_MOVE and abs(by - ay) <= SHORT_MOVE:
+        return _swept_cached(ax, ay, bx, by)
+    return _swept_long(ax, ay, bx, by)
 
 
-@lru_cache(maxsize=1 << 16)
-def _swept_cached(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
+def _sweep(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
     dx, dy = bx - ax, by - ay
     if dx == 0 and dy == 0:
         return ((ax, ay),)
@@ -56,6 +59,16 @@ def _swept_cached(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
     if abs(dx) == abs(dy):
         return _swept_diagonal(ax, ay, bx, by)
     return _swept_general(ax, ay, bx, by)
+
+
+# Moves of up to SHORT_MOVE cells along each axis repeat often (unit steps,
+# the shortcuts a blocked map allows) and share the large cache. Longer moves
+# are open-grid shortcuts that seldom repeat and sweep up to hundreds of cells
+# each; their own small cache fills within a few instances, so the memory the
+# caches hold stops growing early in a run instead of with every instance.
+SHORT_MOVE = 8
+_swept_cached = lru_cache(maxsize=1 << 16)(_sweep)
+_swept_long = lru_cache(maxsize=1 << 12)(_sweep)
 
 
 def _swept_diagonal(ax, ay, bx, by) -> Tuple[Cell, ...]:

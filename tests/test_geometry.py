@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from anysipp import geometry
 from anysipp.geometry import circle_segment_intersections, swept_cells
 
 from oracles import _point_seg_dist, sampled_swept_cells, seg_box_distance
@@ -68,6 +69,23 @@ def test_sweep_symmetry_and_endpoints_and_size():
         span = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
         assert len(cells) <= 4 * (span + 1)
         assert len(set(cells)) == len(cells)
+
+
+def test_long_moves_have_their_own_smaller_cache():
+    short, long_ = geometry._swept_cached, geometry._swept_long
+    short.cache_clear()
+    long_.cache_clear()
+    n = geometry.SHORT_MOVE
+    swept_cells((0, 0), (n, -n))
+    swept_cells((0, 0), (n + 1, 3))
+    swept_cells((n + 1, 3), (0, 0))
+    swept_cells((2, 0), (3, n + 2))
+    assert (short.cache_info().currsize, short.cache_info().hits) == (1, 0)
+    assert (long_.cache_info().currsize, long_.cache_info().hits) == (2, 1)
+    assert long_.cache_info().maxsize < short.cache_info().maxsize
+    # The tier changes where a result is kept, never the result.
+    for a, b in (((0, 0), (n, -n)), ((0, 0), (n + 1, 3)), ((2, 0), (3, n + 2))):
+        assert swept_cells(a, b) == geometry._sweep(*a, *b)
 
 
 def test_dist_examples():
