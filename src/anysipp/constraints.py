@@ -1,30 +1,32 @@
 """Dynamic-obstacle bookkeeping for safe-interval search.
 
-Two views of the same obstacle trajectories are maintained:
+The table keeps one model of the obstacle trajectories, their affine pieces
+(see ``Trajectory.affine_pieces``) indexed by the cells they sweep, and
+offers two exact views of it:
 
 * per-cell *safe intervals*, the time windows during which an agent parked at
   a cell center keeps its center at least one diameter from every obstacle
   center; these identify search states, and
 
-* per-cell *constraints* ``[p, time(p)]`` marking when an obstacle center
-  passes the point of its path closest to the cell center; these drive the
-  conservative collision intervals that bound earliest arrival times for
-  moves.
+* per-move *collision windows*, the arrival times at which an agent moving
+  straight from a to b at unit speed would come within one diameter of an
+  obstacle. For one piece the conflicting departures form a single interval
+  with closed-form end points (``_departure_window``); a move's windows are
+  those of the pieces in its swept cells, merged.
 
-Every constraint lies on one of the obstacles' affine pieces: path markers on
-a move piece, wait markers at a move piece's start, the parking marker at the
-terminal stay. The table also keeps the pieces' end points, so that
-``ConstraintTable.piece_near`` can tell exactly, without enumerating the
-move's swept cells, that no piece comes within ``RELEVANCE_DIST`` of a move;
-such a move has no relevant constraint and an empty collision model. The
-search uses it as a broad-phase screen for shortcut moves on grids without
-blocked cells.
+If two centers come within one diameter, the cell holding their midpoint is
+swept by both disks, so the pieces indexed under a move's swept cells are
+all the pieces it can meet. ``ConstraintTable.piece_near`` tells exactly,
+without enumerating the move's swept cells, that no piece comes within
+``RELEVANCE_DIST`` of a move; such a move has no collision window. The search
+uses it as a broad-phase screen for shortcut moves on grids without blocked
+cells.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .geometry import Cell, circle_segment_intersections, swept_cells
 from .trajectory import Trajectory
@@ -32,28 +34,18 @@ from .trajectory import Trajectory
 TOL = 1e-9
 INF = math.inf
 
-# Obstacles are disks of radius 0.5, so centers conflict within 1.0 and a
-# constraint can influence moves up to 2.0 away; collision intervals extend
-# 2.0 time units to each side of a constraint.
+# Obstacles are disks of radius 0.5, so centers conflict within 1.0.
+# piece_near screens at twice that, which keeps it sound with room to spare.
 CONFLICT_DIST = 1.0
 RELEVANCE_DIST = 2.0
-TIME_MARGIN = 2.0
 # piece_near errs on the near side by this much, so that rounding can never
-# hide a piece that the relevance filter would keep.
+# hide a piece that could meet the move.
 SCREEN_SLACK = 1e-6
-
-
-class Constraint(NamedTuple):
-    x: float
-    y: float
-    time: float
-    hold: bool  # obstacle occupies p from `time` on (parked at its goal)
-    # Local affine model of the obstacle around this marker: velocity and the
-    # time bounds of the trajectory piece the marker was generated from.
-    ux: float = 0.0
-    uy: float = 0.0
-    t0: float = 0.0
-    t1: float = INF
+# Move windows are computed for a disk of squared radius 1 - TOL, a hair
+# inside the diameter: touches at exactly one diameter, which the grid makes
+# common, stay outside it despite rounding, while every distance the
+# validator calls a conflict (below 1 - 1e-9) stays inside.
+_WINDOW_R2 = CONFLICT_DIST * CONFLICT_DIST - TOL
 
 
 class TimeInterval(NamedTuple):
@@ -61,29 +53,12 @@ class TimeInterval(NamedTuple):
     end: float
 
 
-class DepartureGuard(NamedTuple):
-    """Exact local screen for constraints whose closest point on a move is
-    the move's own start. The conservative interval treatment would veto the
-    departure whenever the obstacle passes nearby in time, even though the
-    agent is strictly receding; instead the pair of constant-velocity motions
-    is checked in closed form over the marker's covered window [w0, w1]."""
-
-    px: float
-    py: float
-    tp: float
-    ux: float
-    uy: float
-    w0: float
-    w1: float
-
-
 class ConstraintTable:
-    """Per-cell constraints and path-pass index for a set of obstacle
-    trajectories. Built incrementally: each trajectory is traced once, as
-    soon as it is planned."""
+    """Obstacle trajectories as affine pieces indexed by the cells they
+    sweep. Built incrementally: each trajectory is added once, as soon as it
+    is planned."""
 
     def __init__(self):
-        self.cells: Dict[Cell, List[Constraint]] = {}
         # Affine pieces (see Trajectory.affine_pieces) by the cells they touch.
         self._passes: Dict[Cell, list] = {}
         # End points (x0, y0, x1, y1) of the pieces, for piece_near. A wait
@@ -93,7 +68,6 @@ class ConstraintTable:
         self._segments: List[Tuple[float, float, float, float]] = []
 
     def add_trajectory(self, traj: Trajectory) -> None:
-        cells = self.cells
         passes = self._passes
         pieces = traj.affine_pieces()
         for piece in pieces:
@@ -101,48 +75,6 @@ class ConstraintTable:
                 passes.setdefault(cell, []).append(piece)
             if piece[4] or piece[5] or len(pieces) == 1:
                 self._segments.append((piece[2], piece[3], piece[6], piece[7]))
-
-        wps = traj.waypoints
-        for i in range(len(wps) - 1):
-            wp, nxt = wps[i], wps[i + 1]
-            ax, ay = float(wp.cell[0]), float(wp.cell[1])
-            bx, by = float(nxt.cell[0]), float(nxt.cell[1])
-            depart = wp.arrival + wp.wait
-            arrive = nxt.arrival
-            dx, dy = bx - ax, by - ay
-            den = dx * dx + dy * dy
-            seg_len = math.sqrt(den)
-            vx, vy = dx / seg_len, dy / seg_len
-            start_markers = None
-            for cell in swept_cells(wp.cell, nxt.cell):
-                t = ((cell[0] - ax) * dx + (cell[1] - ay) * dy) / den
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                s = t * seg_len
-                lst = cells.setdefault(cell, [])
-                if s <= TOL:
-                    if start_markers is None:
-                        start_markers = _wait_markers(ax, ay, wp.arrival, depart)
-                    lst.extend(start_markers)
-                else:
-                    lst.append(
-                        Constraint(
-                            ax + t * dx, ay + t * dy, depart + s, False,
-                            vx, vy, depart, arrive,
-                        )
-                    )
-        goal = wps[-1]
-        cells.setdefault(goal.cell, []).append(
-            Constraint(
-                float(goal.cell[0]), float(goal.cell[1]), goal.arrival, True,
-                0.0, 0.0, goal.arrival, INF,
-            )
-        )
-
-    def constraints_at(self, cell) -> List[Constraint]:
-        return self.cells.get(tuple(cell), [])
 
     def safe_intervals_at(self, cell) -> Tuple[TimeInterval, ...]:
         pieces = self._passes.get(tuple(cell))
@@ -155,12 +87,13 @@ class ConstraintTable:
     def piece_near(self, move_a, move_b) -> bool:
         """Whether some stored piece comes within RELEVANCE_DIST of the
         segment move_a -> move_b. Errs on the near side by at most
-        SCREEN_SLACK, so False guarantees that no constraint is relevant to
-        the move. A move with an end point in a cell that some piece sweeps
-        is near at once, since that cell's center is within 0.5 + sqrt(0.5)
-        of the piece. Otherwise each piece is rejected by bounding box, then
-        by its end points' distance to the move's line, and else decided by
-        the exact segment-segment distance."""
+        SCREEN_SLACK. Only pieces within one diameter can meet the move, so
+        False guarantees that the move has no collision window. A move with
+        an end point in a cell that some piece sweeps is near at once, since
+        that cell's center is within 0.5 + sqrt(0.5) of the piece. Otherwise
+        each piece is rejected by bounding box, then by its end points'
+        distance to the move's line, and else decided by the exact
+        segment-segment distance."""
         passes = self._passes
         if tuple(move_a) in passes or tuple(move_b) in passes:
             return True
@@ -216,18 +149,6 @@ def _seg_seg_dist2(ax, ay, bx, by, cx, cy, dx, dy, c0, c1) -> float:
         _point_seg_dist2(ax, ay, cx, cy, dx, dy),
         _point_seg_dist2(bx, by, cx, cy, dx, dy),
     )
-
-
-def _wait_markers(x: float, y: float, arrival: float, depart: float) -> List[Constraint]:
-    """Markers for an obstacle sitting at (x, y) from arrival to departure,
-    spaced one diameter of travel apart, last one exactly at departure."""
-    out = []
-    t = arrival
-    while t < depart - TOL:
-        out.append(Constraint(x, y, t, False, 0.0, 0.0, arrival, depart))
-        t += CONFLICT_DIST
-    out.append(Constraint(x, y, depart, False, 0.0, 0.0, arrival, depart))
-    return out
 
 
 def build_table(obstacles: Sequence[Trajectory]) -> ConstraintTable:
@@ -294,161 +215,132 @@ def _complement(windows: List[Tuple[float, float]]) -> Tuple[TimeInterval, ...]:
     return tuple(out)
 
 
-def relevant_constraints(move_a, move_b, table: ConstraintTable) -> List[Constraint]:
-    """Constraints that can interact with the move a -> b: those attached to
-    cells swept by both the obstacle paths and the move, closer than two
-    diameters to the move segment."""
-    cells = swept_cells(move_a, move_b)
-    return _relevant_from_cells(cells, move_a, move_b, table)
-
-
-def _relevant_from_cells(cells, move_a, move_b, table) -> List[Constraint]:
-    ax, ay = float(move_a[0]), float(move_a[1])
-    bx, by = float(move_b[0]), float(move_b[1])
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    table_cells = table.cells
-    seen = set()
-    out = []
+def _relevant_from_cells(cells, table: ConstraintTable) -> list:
+    """The distinct pieces indexed under the given cells: for a move's swept
+    cells, every piece that can come within one diameter of the move."""
+    passes = table._passes
+    found = {}
     for cell in cells:
-        for k in table_cells.get(cell, ()):
-            if k in seen:
-                continue
-            seen.add(k)
-            if den > 0.0:
-                t = ((k.x - ax) * dx + (k.y - ay) * dy) / den
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                px, py = ax + t * dx, ay + t * dy
-            else:
-                px, py = ax, ay
-            if math.hypot(k.x - px, k.y - py) < RELEVANCE_DIST - TOL:
-                out.append(k)
-    return out
+        for piece in passes.get(cell, ()):
+            found[id(piece)] = piece
+    return list(found.values())
 
 
-def collision_intervals_for_move(move_a, move_b, constraints: Sequence[Constraint]) -> List[TimeInterval]:
-    """Arrival times at move_b that would bring the agent too close to an
-    obstacle near some constraint point; overlapping intervals are merged.
-
-    Constraints whose closest point on the move is the move's *start* are
-    skipped: the agent only recedes from them while moving, and its dwell at
-    the start is governed exactly by that cell's safe intervals. Keeping
-    them would veto departures the interval machinery has already certified
-    (and did veto provably-safe escapes from brushed start cells).
-    """
+def collision_intervals_for_move(move_a, move_b, pieces) -> List[TimeInterval]:
+    """Arrival times at move_b at which the agent, having left move_a at unit
+    speed, would come strictly within one diameter of an obstacle piece on
+    the way; open intervals, sorted and merged. The agent's dwell before
+    departure and after arrival is the cells' safe intervals' business."""
     ax, ay = float(move_a[0]), float(move_a[1])
-    bx, by = float(move_b[0]), float(move_b[1])
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    raw = []
-    for k in constraints:
-        if den > 0.0:
-            t = ((k.x - ax) * dx + (k.y - ay) * dy) / den
-            if t <= 0.0:
-                continue
-            if t > 1.0:
-                t = 1.0
-            px, py = ax + t * dx, ay + t * dy
-        else:
-            px, py = ax, ay
-        offset = math.hypot(bx - px, by - py)
-        lo = k.time - TIME_MARGIN + offset
-        hi = INF if k.hold else k.time + TIME_MARGIN + offset
-        raw.append((lo, hi))
-    return [TimeInterval(lo, hi) for lo, hi in _merge(raw)]
+    dx, dy = move_b[0] - ax, move_b[1] - ay
+    length = math.hypot(dx, dy)
+    ux, uy = dx / length, dy / length
+    windows = []
+    for piece in pieces:
+        window = _departure_window(ax, ay, ux, uy, length, piece)
+        if window is not None:
+            windows.append(window)
+    return [TimeInterval(lo + length, hi + length) for lo, hi in _merge(windows)]
 
 
-def departure_guards(move_a, move_b, constraints: Sequence[Constraint]) -> List[DepartureGuard]:
-    """Guards for constraints whose closest point on the move is its start:
-    the agent only recedes from these while moving, so instead of the blanket
-    time margin each one is screened exactly against the obstacle's local
-    motion (see earliest_arrival)."""
-    ax, ay = float(move_a[0]), float(move_a[1])
-    bx, by = float(move_b[0]), float(move_b[1])
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    out = []
-    for k in constraints:
-        if den > 0.0:
-            t = ((k.x - ax) * dx + (k.y - ay) * dy) / den
-            if t > 0.0:
-                continue
-        w0 = max(k.t0, k.time - CONFLICT_DIST)
-        w1 = k.t1 if k.hold else min(k.t1, k.time + CONFLICT_DIST)
-        if w1 > w0 + TOL:
-            out.append(DepartureGuard(k.x, k.y, k.time, k.ux, k.uy, w0, w1))
-    return out
+def _departure_window(ax, ay, ux, uy, length, piece):
+    """Departure times d from (ax, ay) along unit direction u that bring the
+    agent within one diameter of the piece, as one open interval (lo, hi),
+    or None.
 
-
-def _guard_violated(g: DepartureGuard, sx, sy, vx, vy, depart, arrive) -> bool:
-    """Closed-form check: do the agent (departing (sx,sy) at `depart` along
-    unit velocity v) and the obstacle's local motion around the marker come
-    strictly within one diameter during the overlap of the move with the
-    marker's window?"""
-    lo = depart if depart > g.w0 else g.w0
-    hi = arrive if arrive < g.w1 else g.w1
-    if hi <= lo + TOL:
-        return False
-    # relative position at `lo` and relative velocity
-    rx = (sx + (lo - depart) * vx) - (g.px + (lo - g.tp) * g.ux)
-    ry = (sy + (lo - depart) * vy) - (g.py + (lo - g.tp) * g.uy)
-    wx, wy = vx - g.ux, vy - g.uy
-    span = hi - lo
-    w2 = wx * wx + wy * wy
-    tau = 0.0
-    if w2 > 0.0:
-        tau = -(rx * wx + ry * wy) / w2
-        if tau < 0.0:
-            tau = 0.0
-        elif tau > span:
-            tau = span
-    mx, my = rx + tau * wx, ry + tau * wy
-    return mx * mx + my * my < (CONFLICT_DIST - TOL) ** 2
-
-
-def earliest_arrival(
-    cols: Sequence[TimeInterval],
-    start_t: float,
-    end_t: float,
-    interval: TimeInterval,
-    guards: Sequence[DepartureGuard] = (),
-    move_start=None,
-    move_end=None,
-) -> Optional[float]:
-    """Earliest arrival time within `interval`, pushing past collision
-    intervals. Arrival exactly at either endpoint of a collision interval is
-    allowed (the margins already embed a diameter of slack per side), so the
-    push fires only strictly inside. Departure guards, when given, veto
-    arrivals whose departure provably meets the guarded obstacle; a veto
-    pushes past the guard's window. None when the push overshoots `end_t`
-    or the interval."""
-    t = start_t if start_t > interval.start else interval.start
-    if guards:
-        ax, ay = float(move_start[0]), float(move_start[1])
-        bx, by = float(move_end[0]), float(move_end[1])
-        seg_len = math.hypot(bx - ax, by - ay)
-        vx, vy = (bx - ax) / seg_len, (by - ay) / seg_len
-    while True:
-        moved = False
-        for lo, hi in cols:
-            if t <= lo + TOL:
-                break
-            if t < hi:
-                t = hi
-                moved = True
-        if math.isinf(t) or t > end_t + TOL or t > interval.end + TOL:
+    The agent is at a + s*u at time d + s, the obstacle at p + w*v at time
+    t0 + w, so d conflicts when some (s, w) in [0, L] x [0, t1 - t0] with
+    d = t0 + w - s has |c + s*u - w*v| < 1, c = a - p. That set of (s, w) is
+    a rectangle cut by an ellipse (a strip when u and v are parallel), which
+    is convex, so its d-range is one interval whose end points are the least
+    and greatest d over: the rectangle's corners inside the disk, the disk's
+    crossings of the rectangle's edges, and the ellipse's two d-extreme
+    points (relative position perpendicular to u - v). Range tests err
+    outward by TOL so that rounding cannot drop an extreme point."""
+    t0, t1, px, py, vx, vy, qx, qy = piece
+    r2 = _WINDOW_R2
+    cx, cy = ax - px, ay - py
+    if vx == 0.0 and vy == 0.0:
+        # A wait or the terminal stay: the conflicting part of the agent's
+        # path is one chord (s_lo, s_hi), and it conflicts at any departure
+        # that puts the piece's span over the chord.
+        h = cx * uy - cy * ux
+        disc = r2 - h * h
+        if disc <= 0.0:
             return None
-        for g in guards:
-            if _guard_violated(g, ax, ay, vx, vy, t - seg_len, t):
-                release = g.w1 + seg_len
-                if release > t:
-                    t = release
-                    moved = True
-        if not moved:
+        root = math.sqrt(disc)
+        mid = -(cx * ux + cy * uy)
+        s_lo = mid - root if mid - root > 0.0 else 0.0
+        s_hi = mid + root if mid + root < length else length
+        if s_hi <= s_lo:
+            return None
+        return t0 - s_hi, t1 - s_lo
+    span = t1 - t0
+    # Relative positions at the corners (s, w) = (0, 0), (L, 0), (0, span)
+    # and (L, span), with the departure each one stands for.
+    lx, ly = cx + length * ux, cy + length * uy
+    ex, ey = ax - qx, ay - qy
+    corners = (
+        (cx, cy, t0), (lx, ly, t0 - length),
+        (ex, ey, t1), (ex + length * ux, ey + length * uy, t1 - length),
+    )
+    ds = [d for rx, ry, d in corners if rx * rx + ry * ry < r2]
+    # Edges w = 0 and w = span: |r + s*u|^2 = r2 for s in [0, L].
+    s_max = length + TOL
+    for rx, ry, base in ((cx, cy, t0), (ex, ey, t1)):
+        h = rx * uy - ry * ux
+        disc = r2 - h * h
+        if disc > 0.0:
+            root = math.sqrt(disc)
+            mid = -(rx * ux + ry * uy)
+            for s in (mid - root, mid + root):
+                if -TOL <= s <= s_max:
+                    ds.append(base - s)
+    # Edges s = 0 and s = L: |r - w*v|^2 = r2 for w in [0, span].
+    vv = vx * vx + vy * vy
+    w_max = span + TOL
+    for rx, ry, base in ((cx, cy, t0), (lx, ly, t0 - length)):
+        h = rx * vy - ry * vx
+        disc = vv * r2 - h * h
+        if disc > 0.0:
+            root = math.sqrt(disc)
+            mid = rx * vx + ry * vy
+            for w in ((mid - root) / vv, (mid + root) / vv):
+                if -TOL <= w <= w_max:
+                    ds.append(base + w)
+    # The ellipse's d-extreme points: c + s*u - w*v = +-rho * n with n the
+    # unit normal of u - v, solved for (s, w) by Cramer's rule.
+    k = ux * vy - uy * vx
+    if k != 0.0:
+        gx, gy = ux - vx, uy - vy
+        scale = math.sqrt(r2 / (gx * gx + gy * gy))
+        nx, ny = -gy * scale, gx * scale
+        for fx, fy in ((nx - cx, ny - cy), (-nx - cx, -ny - cy)):
+            s = (fx * vy - fy * vx) / k
+            w = (fx * uy - fy * ux) / k
+            if -TOL <= s <= s_max and -TOL <= w <= w_max:
+                ds.append(t0 + w - s)
+    if not ds:
+        return None
+    lo, hi = min(ds), max(ds)
+    return (lo, hi) if hi > lo else None
+
+
+def earliest_arrival(cols, start_t: float, end_t: float, interval: TimeInterval):
+    """Earliest arrival time in `interval`, no earlier than `start_t`, that
+    lies in none of the sorted, merged open collision windows `cols`: an
+    arrival inside a window is pushed to its end. The windows are exact, so
+    an arrival at either end point is allowed, and so is one within TOL
+    past a window's start: a piece that only touches the move at one
+    diameter can leave a window about TOL wide, which must not push. None
+    when the push overshoots `end_t` (the latest arrival the source state's
+    interval allows) or the interval."""
+    t = start_t if start_t > interval.start else interval.start
+    for lo, hi in cols:
+        if t <= lo + TOL:
             break
+        if t < hi:
+            t = hi
     if math.isinf(t) or t > end_t + TOL or t > interval.end + TOL:
         return None
     return t

@@ -45,6 +45,8 @@ class GridMap:
     def from_blocked(cls, width: int, height: int, blocked: Iterable[Cell]) -> "GridMap":
         rows = [bytearray(width) for _ in range(height)]
         for c, r in blocked:
+            if not (0 <= c < width and 0 <= r < height):
+                raise MapFormatError(f"blocked cell {(c, r)} is outside the {width}x{height} grid")
             rows[r][c] = 1
         return cls(width, height, [bytes(r) for r in rows])
 

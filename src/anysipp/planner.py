@@ -20,7 +20,6 @@ from .constraints import (
     TimeInterval,
     build_table,
     collision_intervals_for_move,
-    departure_guards,
     earliest_arrival,
     _relevant_from_cells,
 )
@@ -128,24 +127,21 @@ class Search:
 
     def _cols_for(self, src_cfg, cfg, cells):
         key = (src_cfg, cfg)
-        model = self._cols.get(key)
-        if model is None:
+        cols = self._cols.get(key)
+        if cols is None:
             table = self.table
             # A move whose cells the caller did not enumerate (an open-grid
             # shortcut) is first screened against the obstacle pieces: far
-            # from all of them, it has no relevant constraint.
-            if not table.cells or (cells is None and not table.piece_near(src_cfg, cfg)):
-                model = ((), ())
+            # from all of them, it has no collision window.
+            if not table._passes or (cells is None and not table.piece_near(src_cfg, cfg)):
+                cols = ()
             else:
                 if cells is None:
                     cells = swept_cells(src_cfg, cfg)
-                relevant = _relevant_from_cells(cells, src_cfg, cfg, table)
-                model = (
-                    tuple(collision_intervals_for_move(src_cfg, cfg, relevant)),
-                    tuple(departure_guards(src_cfg, cfg, relevant)),
-                )
-            self._cols[key] = model
-        return model
+                pieces = _relevant_from_cells(cells, table)
+                cols = tuple(collision_intervals_for_move(src_cfg, cfg, pieces))
+            self._cols[key] = cols
+        return cols
 
     def _h(self, cfg) -> float:
         dx = cfg[0] - self.goal[0]
@@ -157,7 +153,7 @@ class Search:
     # -- successor generation ----------------------------------------------
 
     def _relax_via(self, cfg, src: SearchState, cells) -> None:
-        cols, guards = self._cols_for(src.cfg, cfg, cells)
+        cols = self._cols_for(src.cfg, cfg, cells)
         m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
         start_t = src.time + m_time
         end_t = src.interval.end + m_time
@@ -165,7 +161,7 @@ class Search:
         for idx, iv in enumerate(self.intervals_at(cfg)):
             if iv.start > end_t or iv.end < start_t:
                 continue
-            t = earliest_arrival(cols, start_t, end_t, iv, guards, src.cfg, cfg)
+            t = earliest_arrival(cols, start_t, end_t, iv)
             if t is None:
                 continue
             g2 = src.g + (t - src.time)
@@ -193,7 +189,7 @@ class Search:
     def expand(self, s: SearchState) -> None:
         grid = self.grid
         blocked = grid.any_blocked
-        have_table = bool(self.table.cells)
+        have_table = bool(self.table._passes)
         sx, sy = s.cfg
         par = s.parent
         shortcut_ok = self.mode.any_angle and par is not None

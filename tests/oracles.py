@@ -233,9 +233,10 @@ def _min_dist_affine(x, y, vx, vy, t0, t1, traj):
 
 def time_expanded_exact_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0):
     """Dijkstra over (cell, tick) with wait ticks and cardinal unit moves,
-    each transition collision-checked exactly in continuous time. An exact
-    checker admits timings the planners' conservative margins forbid, so
-    this bounds the *physically* optimal tick plan, not the planners."""
+    each transition collision-checked exactly in continuous time (a move
+    with 1e-6 of slack), sharing nothing with the planners. The cardinal
+    planner's move windows are exact too, so its plans should never cost
+    more than this one."""
     assert abs(round(1.0 / dt) - 1.0 / dt) < 1e-12
     move_ticks = int(round(1.0 / dt))
     max_tick = int(round(horizon / dt))
@@ -293,18 +294,18 @@ def time_expanded_exact_best_cost(grid, obstacles, start, goal, dt=0.25, horizon
 def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0):
     """Brute-force reference the planners must match or beat: Dijkstra over
     (cell, tick) with wait ticks and cardinal unit moves, transitions gated
-    by the same conservative safe-interval / collision-interval model the
-    planners use. The search shares nothing with the planners; the shared
-    collision model is certified independently by the validator-based
-    soundness tests."""
+    by the same safe intervals and move collision windows the planners use.
+    The search shares nothing with the planners; the shared collision model
+    is certified independently by the validator-based soundness tests and
+    the exact tick oracle above."""
     from anysipp.constraints import (
+        _relevant_from_cells,
         build_table,
         collision_intervals_for_move,
-        departure_guards,
         earliest_arrival,
-        relevant_constraints,
         TimeInterval,
     )
+    from anysipp.geometry import swept_cells
 
     assert abs(round(1.0 / dt) - 1.0 / dt) < 1e-12
     move_ticks = int(round(1.0 / dt))
@@ -329,11 +330,8 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
     def cols_for(a, b):
         key = (a, b)
         if key not in cols_cache:
-            relevant = relevant_constraints(a, b, table)
-            cols_cache[key] = (
-                collision_intervals_for_move(a, b, relevant),
-                departure_guards(a, b, relevant),
-            )
+            pieces = _relevant_from_cells(swept_cells(a, b), table)
+            cols_cache[key] = collision_intervals_for_move(a, b, pieces)
         return cols_cache[key]
 
     if not inside_some_interval(start, 0.0, 0.0):
@@ -364,10 +362,8 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
             arrival = t + 1.0
             if not inside_some_interval(nxt, arrival, arrival):
                 continue
-            cols, guards = cols_for(cell, nxt)
             accepted = earliest_arrival(
-                cols, arrival, arrival, TimeInterval(0.0, math.inf),
-                guards, cell, nxt,
+                cols_for(cell, nxt), arrival, arrival, TimeInterval(0.0, math.inf)
             )
             if accepted is None or accepted > arrival + 1e-9:
                 continue

@@ -14,13 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anysipp.constraints import (
-    build_table,
-    collision_intervals_for_move,
-    departure_guards,
-    earliest_arrival,
-    relevant_constraints,
-)
+from anysipp.constraints import build_table
 from anysipp.cli import BenchConfig, run_benchmark
 from anysipp.geometry import swept_cells
 from anysipp.grid import GridMap, parse_map

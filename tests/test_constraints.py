@@ -6,15 +6,11 @@ import pytest
 
 from anysipp.constraints import (
     RELEVANCE_DIST,
-    Constraint,
-    ConstraintTable,
     TimeInterval,
     _relevant_from_cells,
     build_table,
     collision_intervals_for_move,
-    departure_guards,
     earliest_arrival,
-    relevant_constraints,
 )
 from anysipp.geometry import swept_cells
 from anysipp.grid import GridMap
@@ -22,44 +18,75 @@ from anysipp.planner import PlannerMode, Search
 from anysipp.validate import first_conflict
 from anysipp.trajectory import Trajectory, Waypoint
 
-from oracles import _seg_seg_dist, make_traj, occupied_mask, random_trajectory
+from oracles import (
+    _min_dist_affine,
+    _seg_seg_dist,
+    make_traj,
+    occupied_mask,
+    random_trajectory,
+)
 
 INF = math.inf
 
 
+def move_pieces(a, b, table):
+    """The pieces the search checks for the move a -> b: those indexed under
+    its swept cells."""
+    return _relevant_from_cells(swept_cells(a, b), table)
+
+
+def move_windows(a, b, obstacles):
+    return collision_intervals_for_move(a, b, move_pieces(a, b, build_table(obstacles)))
+
+
+def assert_windows(ivs, expected):
+    assert len(ivs) == len(expected), ivs
+    for iv, want in zip(ivs, expected):
+        assert tuple(iv) == pytest.approx(want, abs=1e-6), ivs
+
+
 # ---------------------------------------------------------------- table
 
-def test_table_marker_on_straight_pass():
-    table = build_table([make_traj([(0, 2), (4, 2)])])
-    ks = table.constraints_at((2, 2))
-    assert any(
-        k.x == pytest.approx(2.0) and k.y == pytest.approx(2.0)
-        and k.time == pytest.approx(2.0) and not k.hold
-        for k in ks
-    )
+def test_table_indexes_straight_pass():
+    obstacle = make_traj([(0, 2), (4, 2)])
+    (piece,) = _relevant_from_cells([(2, 2)], build_table([obstacle]))
+    t0, t1, x0, y0, vx, vy, _, _ = piece
+    assert (t0, t1) == (0.0, 4.0)
+    # the pass reaches the cell center at time 2
+    assert (x0 + 2.0 * vx, y0 + 2.0 * vy) == pytest.approx((2.0, 2.0))
 
 
-def test_table_wait_series_spacing():
-    table = build_table([make_traj([(0, 0), (4, 0)], waits=[3.0, 0.0])])
-    times = sorted(k.time for k in table.constraints_at((0, 0)) if not k.hold)
-    assert times == pytest.approx([0.0, 1.0, 2.0, 3.0])
+def test_wait_window_covers_the_whole_wait():
+    # An obstacle waits at (2, 0) from 0 to 3, then leaves straight up. A move
+    # along row 0 meets the wait on the chord s in (1, 3) of its path, so at
+    # departures (0 - 3, 3 - 1): arrivals (1, 6). Leaving, the obstacle stays
+    # in conflict up to the departure where w - s peaks on the disk around
+    # (2, 0): d = 3 + sqrt(2) - 2. One window, no gap.
+    obstacle = make_traj([(2, 0), (2, 8)], waits=[3.0, 0.0])
+    (iv,) = move_windows((0, 0), (4, 0), [obstacle])
+    assert_windows([iv], [(1.0, 5.0 + math.sqrt(2.0))])
 
 
 def test_table_fractional_wait_capped():
-    table = build_table([make_traj([(0, 0), (4, 0)], waits=[2.5, 0.0])])
-    times = sorted(k.time for k in table.constraints_at((0, 0)) if not k.hold)
-    assert times == pytest.approx([0.0, 1.0, 2.0, 2.5])
+    # The wait piece alone: its window ends exactly with the wait, at
+    # departure 2.5 - 1.
+    wait_piece = make_traj([(2, 0), (2, 8)], waits=[2.5, 0.0]).affine_pieces()[0]
+    assert wait_piece[:2] == (0.0, 2.5)
+    ivs = collision_intervals_for_move((0, 0), (4, 0), [wait_piece])
+    assert_windows(ivs, [(1.0, 5.5)])
 
 
 def test_table_goal_constraint_is_half_infinite():
-    table = build_table([make_traj([(2, 2), (5, 5)])])
-    holds = [k for k in table.constraints_at((5, 5)) if k.hold]
-    assert len(holds) == 1
-    assert holds[0].time == pytest.approx(math.hypot(3, 3))
+    # the terminal stay blocks the moves through its disk forever
+    obstacle = make_traj([(2, 2), (5, 5)])
+    (iv,) = move_windows((5, 3), (5, 7), [obstacle])
+    assert math.isinf(iv.end)
+    # the stay alone blocks the arrivals from hypot(3, 3) + 1 on; coming in
+    # on the diagonal, the obstacle can only start the window earlier
+    assert iv.start <= math.hypot(3, 3) + 1.0 + 1e-6
     # parked-from-start obstacle holds its cell from time zero
-    table2 = build_table([make_traj([(1, 1)])])
-    holds2 = [k for k in table2.constraints_at((1, 1)) if k.hold]
-    assert holds2 and holds2[0].time == 0.0
+    (iv2,) = move_windows((0, 1), (3, 1), [make_traj([(1, 1)])])
+    assert iv2.start == pytest.approx(3.0 - 2.0, abs=1e-6) and math.isinf(iv2.end)
 
 
 # ------------------------------------------------------ safe intervals
@@ -119,31 +146,34 @@ def test_safe_intervals_agree_with_sampled_occupancy():
 # ------------------------------------------------------- relevance
 
 def test_crossing_obstacle_constraint_is_relevant():
-    table = build_table([make_traj([(2, 0), (2, 4)])])
-    ks = relevant_constraints((0, 2), (4, 2), table)
-    assert any(k.x == pytest.approx(2.0) and k.y == pytest.approx(2.0) for k in ks)
+    obstacle = make_traj([(2, 0), (2, 4)])
+    pieces = move_pieces((0, 2), (4, 2), build_table([obstacle]))
+    assert obstacle.affine_pieces()[0] in pieces
 
 
 def test_parallel_far_obstacle_shares_no_cell():
     table = build_table([make_traj([(0, 5), (4, 5)])])
-    assert relevant_constraints((0, 2), (4, 2), table) == []
+    assert move_pieces((0, 2), (4, 2), table) == []
 
 
-def test_relevance_filter_discards_at_two_diameters():
-    table = ConstraintTable()
-    table.cells[(1, 0)] = [
-        Constraint(1.0, -2.0, 5.0, False),   # exactly two diameters away
-        Constraint(1.0, -1.9, 5.0, False),   # just inside
-    ]
-    ks = relevant_constraints((0, 0), (4, 0), table)
-    assert len(ks) == 1
-    assert ks[0].y == pytest.approx(-1.9)
+def test_window_ignores_touch_at_one_diameter():
+    # Pieces that come exactly one diameter from the move, head on in the
+    # next lane or parked beside its end, never conflict with it (the cell
+    # index would not even offer them); nor does a head-on lane one diameter
+    # away along (3, 4), whose unit vectors are inexact in binary.
+    touching = [make_traj([(4, 3), (0, 3)]), make_traj([(5, 2)])]
+    pieces = [p for traj in touching for p in traj.affine_pieces()]
+    assert collision_intervals_for_move((0, 2), (4, 2), pieces) == []
+    slanted = make_traj([(7, 11), (1, 3)]).affine_pieces()
+    assert collision_intervals_for_move((0, 0), (6, 8), slanted) == []
+    # the same lane as the move does
+    assert move_windows((0, 2), (4, 2), [make_traj([(4, 2), (0, 2)])])
 
 
 def test_relevant_constraints_deduplicate():
     table = build_table([make_traj([(0, 0), (6, 0)], waits=[2.0, 0.0])])
-    ks = relevant_constraints((0, 0), (6, 0), table)
-    assert len(ks) == len(set(ks))
+    pieces = move_pieces((0, 0), (6, 0), table)
+    assert len(pieces) == len(set(pieces)) == 3
 
 
 # ------------------------------------------------- piece screen
@@ -151,11 +181,7 @@ def test_relevant_constraints_deduplicate():
 def _full_move_model(a, b, table):
     """The move collision model built from the move's swept cells, the path
     the screen lets the search skip."""
-    relevant = _relevant_from_cells(swept_cells(a, b), a, b, table)
-    return (
-        tuple(collision_intervals_for_move(a, b, relevant)),
-        tuple(departure_guards(a, b, relevant)),
-    )
+    return tuple(collision_intervals_for_move(a, b, move_pieces(a, b, table)))
 
 
 def _screened_move_model(a, b, table, size):
@@ -187,8 +213,6 @@ def test_piece_screen_is_exact_on_random_scenes():
                 _seg_seg_dist(a, b, (p[2], p[3]), (p[6], p[7])) for p in pieces
             )
             assert near == (nearest < RELEVANCE_DIST + 1e-6), (a, b, nearest)
-            if not near:
-                assert relevant_constraints(a, b, table) == []
             assert _screened_move_model(a, b, table, size) == _full_move_model(a, b, table)
     assert verdicts[True] > 100 and verdicts[False] > 100
 
@@ -213,43 +237,77 @@ def test_piece_screen_edge_cases(obstacle, move, near):
     a, b = move
     assert table.piece_near(a, b) == near
     assert _screened_move_model(a, b, table, 16) == _full_move_model(a, b, table)
-    if near is False:
-        assert relevant_constraints(a, b, table) == []
 
 
 def test_crossing_piece_has_relevant_constraints():
     table = build_table([make_traj([(0, 10), (10, 0)])])
     assert table.piece_near((0, 0), (10, 10))
-    assert relevant_constraints((0, 0), (10, 10), table)
+    assert _full_move_model((0, 0), (10, 10), table)
 
 
 # ----------------------------------------------- collision intervals
 
 def test_collision_interval_formula():
-    ivs = collision_intervals_for_move(
-        (0, 2), (4, 2), [Constraint(2.0, 2.0, 5.0, False)]
-    )
-    assert len(ivs) == 1
-    assert ivs[0] == pytest.approx((5.0, 9.0))
+    # Move (0,2)->(4,2) against an obstacle going (2,4)->(2,0). With s the
+    # agent's and w the obstacle's time on its piece, the relative position
+    # is (s - 2, w - 2): the conflicts fill the unit disk around (2, 2), and
+    # the departure d = w - s ranges over (-sqrt(2), sqrt(2)).
+    ivs = move_windows((0, 2), (4, 2), [make_traj([(2, 4), (2, 0)])])
+    assert_windows(ivs, [(4.0 - math.sqrt(2.0), 4.0 + math.sqrt(2.0))])
 
 
 def test_collision_interval_half_infinite():
-    # offset 1 from the move end
-    ivs = collision_intervals_for_move(
-        (0, 0), (4, 0), [Constraint(3.0, 0.0, 3.0, True)]
-    )
+    # parked at (3, 0) from time 3: the path is within one diameter of it
+    # for s in (2, 4], so every arrival from 3 + 4 - 4 on conflicts
+    parked = make_traj([(3, 3), (3, 0)])
+    ivs = move_windows((0, 0), (4, 0), [parked])
     assert len(ivs) == 1
-    assert ivs[0].start == pytest.approx(2.0)
+    assert ivs[0].start < 3.0
     assert math.isinf(ivs[0].end)
+    hold = parked.affine_pieces()[-1]
+    ivs = collision_intervals_for_move((0, 0), (4, 0), [hold])
+    assert ivs[0].start == pytest.approx(3.0, abs=1e-6) and math.isinf(ivs[0].end)
 
 
 def test_collision_intervals_merge():
-    ivs = collision_intervals_for_move(
-        (0, 2), (4, 2),
-        [Constraint(2.0, 2.0, 5.0, False), Constraint(2.0, 2.0, 8.0, False)],
-    )
-    assert len(ivs) == 1
-    assert ivs[0] == pytest.approx((5.0, 12.0))
+    # the same crossing twice, 2 apart: the windows overlap and merge
+    first = make_traj([(2, 4), (2, 0), (9, 0)])
+    second = make_traj([(2, 4), (2, 0), (9, 0)], waits=[2.0, 0.0, 0.0])
+    ivs = move_windows((0, 2), (4, 2), [first, second])
+    assert_windows(ivs, [(4.0 - math.sqrt(2.0), 6.0 + math.sqrt(2.0))])
+    # 3 apart they do not
+    third = make_traj([(2, 4), (2, 0), (9, 0)], waits=[3.0, 0.0, 0.0])
+    assert len(move_windows((0, 2), (4, 2), [first, third])) == 2
+
+
+def test_windows_match_min_distance_oracle():
+    # Random moves against random trajectories with waits and holds, at
+    # random departures: a conflict per the independent closed-form distance
+    # oracle lies inside a window, a clear miss outside every window.
+    rng = random.Random(5150)
+    size = 12
+    inside = outside = 0
+    for _ in range(3000):
+        obstacle = random_trajectory(rng, size=size, max_moves=5, wait_prob=0.5)
+        a = (rng.randrange(size), rng.randrange(size))
+        b = (rng.randrange(size), rng.randrange(size))
+        if a == b:
+            continue
+        length = math.hypot(b[0] - a[0], b[1] - a[1])
+        ux, uy = (b[0] - a[0]) / length, (b[1] - a[1]) / length
+        ivs = move_windows(a, b, [obstacle])
+        for _ in range(20):
+            d = rng.uniform(-3.0, obstacle.final_time + 3.0)
+            dist = _min_dist_affine(a[0], a[1], ux, uy, d, d + length, obstacle)
+            t = d + length
+            hit = any(lo < t < hi for lo, hi in ivs)
+            if dist < 1.0 - 1e-6:
+                assert hit, (a, b, d, dist, ivs, obstacle.waypoints)
+                inside += 1
+            elif dist > 1.0 + 1e-6:
+                assert not hit, (a, b, d, dist, ivs, obstacle.waypoints)
+                outside += 1
+    assert inside > 7000 and outside > 50000
 
 
 # -------------------------------------------------- earliest arrival
@@ -317,16 +375,14 @@ def run_soundness_trials(seed, trials, size=16):
         ivs_a = table.safe_intervals_at(a)
         if not ivs_a or ivs_a[0].start > 0:
             continue
-        relevant = relevant_constraints(a, b, table)
-        cols = collision_intervals_for_move(a, b, relevant)
-        guards = departure_guards(a, b, relevant)
+        cols = collision_intervals_for_move(a, b, move_pieces(a, b, table))
         m_time = math.hypot(b[0] - a[0], b[1] - a[1])
         start_t = m_time
         end_t = ivs_a[0].end + m_time
         for iv in table.safe_intervals_at(b):
             if iv.start > end_t or iv.end < start_t:
                 continue
-            t = earliest_arrival(cols, start_t, end_t, iv, guards, a, b)
+            t = earliest_arrival(cols, start_t, end_t, iv)
             if t is None:
                 continue
             dep = t - m_time

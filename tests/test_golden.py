@@ -4,7 +4,8 @@ For each instance and mode the golden file holds the per-agent statuses, the
 exact ``total_cost`` and the sha256 of every ``format_trajectory`` line. Any
 change to the planner that moves a single waypoint, arrival or wait fails
 this test; a change meant to alter trajectories must say so and regenerate
-the file with ``PYTHONPATH=src python tests/test_golden.py --write``.
+the file with ``PYTHONPATH=src python tests/test_golden.py --write``, which
+prints each instance and mode's old and new ``total_cost`` for the record.
 """
 
 import hashlib
@@ -93,4 +94,10 @@ def test_golden_trajectories(golden, name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.write_text(json.dumps(current(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = current()
+    for name, rec in sorted(new.items()):
+        before = old.get(name, {}).get("total_cost")
+        changed = "  (changed)" if old.get(name) != rec else ""
+        print(f"{name}: total_cost {before} -> {rec['total_cost']}{changed}")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

@@ -57,6 +57,13 @@ def test_bad_header():
         parse_map("type octile\nheight one\nwidth 1\nmap\n.\n")
 
 
+@pytest.mark.parametrize("cell", [(-1, 0), (4, 0), (0, -1), (0, 4)])
+def test_from_blocked_rejects_cells_outside_the_grid(cell):
+    # a negative index would wrap around and block a cell on the far side
+    with pytest.raises(MapFormatError, match=rf"\({cell[0]}, {cell[1]}\)"):
+        GridMap.from_blocked(4, 4, [cell])
+
+
 def test_out_of_bounds_is_blocked():
     g = GridMap.empty(8, 8)
     assert g.is_traversable((3, 3))

@@ -16,10 +16,17 @@ from anysipp.planner import (
     plan,
     reconstruct,
 )
-from anysipp.trajectory import Waypoint
+from anysipp.prioritized import generate_instance
+from anysipp.trajectory import Trajectory, Waypoint
 from anysipp.validate import first_conflict
 
-from oracles import flood_fill, make_traj, random_trajectory, time_expanded_best_cost
+from oracles import (
+    flood_fill,
+    make_traj,
+    random_trajectory,
+    time_expanded_best_cost,
+    time_expanded_exact_best_cost,
+)
 
 AA = PlannerMode.anyangle()
 CARDINAL = PlannerMode.cardinal()
@@ -64,6 +71,30 @@ def test_plan_around_crossing_obstacle_beats_tick_oracle():
         assert_clear_of(traj, [obstacle])
     aa_cost = plan(grid, [obstacle], start, goal, AA).cost()
     assert aa_cost > 4.0 + 0.5  # the crossing genuinely forces a wait or detour
+
+
+def test_cardinal_cost_never_above_exact_tick_oracle():
+    # The move windows are exact, so every plan of the exactly checked tick
+    # search is open to the planner too: it is never costlier, and it fails
+    # only where the start is in collision at time 0.
+    rng = random.Random(4242)
+    grid = GridMap.empty(10, 10)
+    cases = 0
+    while cases < 300:
+        obstacle = random_trajectory(rng, size=10)
+        start = (rng.randrange(10), rng.randrange(10))
+        goal = (rng.randrange(10), rng.randrange(10))
+        if start == goal or goal == obstacle.goal_cell:
+            continue
+        cases += 1
+        try:
+            cost = plan(grid, [obstacle], start, goal, CARDINAL).cost()
+        except StartUnsafe:
+            first = build_table([obstacle]).safe_intervals_at(start)[:1]
+            assert not first or first[0].start > 0.0
+            continue
+        oracle = time_expanded_exact_best_cost(grid, [obstacle], start, goal)
+        assert oracle is None or cost <= oracle + 1e-6, (obstacle.waypoints, start, goal)
 
 
 def test_errors_are_distinct():
@@ -346,3 +377,42 @@ def test_plan_validates_against_many_obstacles():
         assert traj.waypoints[0].cell == start
         assert traj.waypoints[-1].cell == goal
         assert_clear_of(traj, obstacles)
+
+
+def _delayed(traj, wait):
+    """traj, held at its start for `wait` more time units."""
+    first, *rest = traj.waypoints
+    if not rest:
+        return traj
+    return Trajectory(
+        [Waypoint(first.cell, 0.0, first.wait + wait)]
+        + [Waypoint(wp.cell, wp.arrival + wait, wp.wait) for wp in rest]
+    )
+
+
+def test_far_coordinates_and_late_times_stay_conflict_free():
+    # Numerical stress for the absolute tolerances (TOL = 1e-9 here and in
+    # the validator): instances moved to coordinates near 500 of a 512x512
+    # grid, with the first agents held at their starts for about 10^3 time
+    # units, so that the later agents plan around obstacles that move at
+    # times near 10^3 and some of them arrive only then. The free cells are
+    # a room in the grid's far corner: an agent that has to wait that long
+    # for its goal would otherwise search the whole grid first.
+    rng = random.Random(512)
+    room = {(c, r) for c in range(494, 510) for r in range(494, 510)}
+    grid = GridMap.from_blocked(
+        512, 512, [(c, r) for c in range(512) for r in range(512) if (c, r) not in room]
+    )
+    late = 0
+    for seed in range(10):
+        inst = generate_instance(GridMap.empty(12, 12), 6, seed=seed, protocol="separated")
+        ox, oy = rng.randrange(496, 499), rng.randrange(496, 499)
+        agents = [((s[0] + ox, s[1] + oy), (g[0] + ox, g[1] + oy)) for s, g in inst.agents]
+        for mode in (AA, CARDINAL):
+            obstacles = []
+            for k, (start, goal) in enumerate(agents):
+                traj = plan(grid, obstacles, start, goal, mode)
+                assert_clear_of(traj, obstacles)
+                late += traj.final_time > 1000.0
+                obstacles.append(_delayed(traj, rng.uniform(1000.0, 1001.0)) if k < 3 else traj)
+    assert late >= 5, late
