@@ -4,6 +4,15 @@ Two modes share one engine: a cardinal baseline (4-connected moves, unit
 steps) and an any-angle variant (8-connected moves plus shortcut successors
 generated from the expanded state's parent, which lets paths settle into
 straight segments between arbitrary cell centers).
+
+Moves are verified lazily, as in Lazy Theta*. Relaxing a move into a safe
+interval pushes a candidate whose arrival ignores the move's collision
+windows, a lower bound on the true one. Only when the candidate is popped,
+and only if the destination state does not already hold a verified g it
+cannot beat, are the move's windows built (and, on a blocked grid, a
+shortcut's line of sight checked); the true arrival then creates or improves
+the state and pushes it as verified. Only verified states are expanded or
+reconstructed.
 """
 
 from __future__ import annotations
@@ -91,7 +100,14 @@ class SearchState:
 
 class Search:
     """One shot of the safe-interval search. Exposed for tests and tracing;
-    most callers should use :func:`plan`."""
+    most callers should use :func:`plan`.
+
+    The open list holds two kinds of entries, both keyed by f, then -g:
+    verified states ``(f + 2*TOL, -g, x, y, idx)``, and candidates ``(f, -g,
+    x, y, idx, src.g, seq, src, cells)`` whose g is a lower bound and whose
+    move is verified by :meth:`_verify` when popped. Equal candidate keys pop
+    the more ancestral source first.
+    """
 
     def __init__(
         self,
@@ -114,6 +130,7 @@ class Search:
         self.open: list = []
         self._intervals = {}
         self._cols = {}
+        self._seq = 0
         self.expansions = 0
 
     # -- geometry/constraint lookups, cached per search --------------------
@@ -152,8 +169,19 @@ class Search:
 
     # -- successor generation ----------------------------------------------
 
+    def _beaten(self, key, g, src) -> bool:
+        """True when the node at key already holds a verified g that an
+        arrival at g from src can neither improve on nor tie from a source
+        more ancestral (smaller g) than the node's parent."""
+        node = self.nodes.get(key)
+        if node is None or g < node.g - TOL:
+            return False
+        return not (g < node.g + TOL and node.parent is not None
+                    and src.g < node.parent.g - TOL)
+
     def _relax_via(self, cfg, src: SearchState, cells) -> None:
-        cols = self._cols_for(src.cfg, cfg, cells)
+        # The candidate's arrival ignores the move's windows, which can only
+        # delay it, so its g is a lower bound; _verify computes the true one.
         m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
         start_t = src.time + m_time
         end_t = src.interval.end + m_time
@@ -161,30 +189,53 @@ class Search:
         for idx, iv in enumerate(self.intervals_at(cfg)):
             if iv.start > end_t or iv.end < start_t:
                 continue
-            t = earliest_arrival(cols, start_t, end_t, iv)
-            if t is None:
+            g = src.g + (max(start_t, iv.start) - src.time)
+            if self._beaten((cfg, idx), g, src):
                 continue
-            g2 = src.g + (t - src.time)
-            key = (cfg, idx)
-            node = self.nodes.get(key)
-            if node is None:
-                node = SearchState(cfg, idx, iv, g2, t, src)
-                self.nodes[key] = node
-            elif g2 < node.g - TOL:
-                node.g = g2
-                node.time = t
-                node.parent = src
-                self.closed.discard(key)
-            elif g2 < node.g + TOL and node.parent is not None and src.g < node.parent.g - TOL:
-                # Equal-cost tie: prefer the more ancestral source so parent
-                # chains collapse onto straight sight lines. g is unchanged,
-                # so the node's open entry stays valid and no push is needed.
-                node.time = t
-                node.parent = src
-                continue
-            else:
-                continue
-            heappush(self.open, (g2 + h, -g2, cfg[0], cfg[1], idx))
+            self._seq += 1
+            heappush(self.open, (g + h, -g, cfg[0], cfg[1], idx, src.g, self._seq, src, cells))
+
+    def _verify(self, candidate) -> None:
+        """Builds a popped candidate's move windows (and, on a blocked grid, a
+        shortcut's line of sight), then applies its true arrival to the node:
+        create, improve, or take an equal-cost tie from a more ancestral
+        source."""
+        _, ng, x, y, idx, _, _, src, cells = candidate
+        cfg = (x, y)
+        key = (cfg, idx)
+        if self._beaten(key, -ng, src):
+            return
+        if cells is None and self.grid.any_blocked:
+            cells = swept_cells(src.cfg, cfg)
+            if not self.grid.cells_traversable(cells):
+                return
+        cols = self._cols_for(src.cfg, cfg, cells)
+        m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
+        iv = self.intervals_at(cfg)[idx]
+        t = earliest_arrival(cols, src.time + m_time, src.interval.end + m_time, iv)
+        if t is None:
+            return
+        g2 = src.g + (t - src.time)
+        if self._beaten(key, g2, src):
+            return
+        node = self.nodes.get(key)
+        if node is None:
+            self.nodes[key] = SearchState(cfg, idx, iv, g2, t, src)
+        elif g2 >= node.g - TOL:
+            # Equal-cost tie from a more ancestral source: take it, so parent
+            # chains collapse onto straight sight lines. g is unchanged, so
+            # the node's open entry stays valid and no push is needed.
+            node.time = t
+            node.parent = src
+            return
+        else:
+            node.g = g2
+            node.time = t
+            node.parent = src
+            self.closed.discard(key)
+        # Verified entries sort 2*TOL late, so that a candidate whose lower
+        # bound ties them within TOL is verified before the node expands.
+        heappush(self.open, (g2 + self._h(cfg) + 2 * TOL, -g2, x, y, idx))
 
     def expand(self, s: SearchState) -> None:
         grid = self.grid
@@ -209,13 +260,10 @@ class Search:
                          else (s.cfg, cfg)) if have_table else None
             self._relax_via(cfg, s, cells)
             if shortcut_ok and cfg != par.cfg:
-                if blocked:
-                    pcells = swept_cells(par.cfg, cfg)
-                    if not grid.cells_traversable(pcells):
-                        continue
-                else:
-                    pcells = None
-                self._relax_via(cfg, par, pcells)
+                # A shortcut's swept cells are enumerated only if it is
+                # verified: for line of sight on a blocked grid, and otherwise
+                # only when it passes near an obstacle piece.
+                self._relax_via(cfg, par, None)
 
     # -- main loop -----------------------------------------------------------
 
@@ -230,18 +278,21 @@ class Search:
         goal = self.goal
         pops = 0
         while self.open:
-            f, ng, cx, cy, idx = heappop(self.open)
+            entry = heappop(self.open)
+            pops += 1
+            if self.deadline is not None and not pops & 127 and _time.monotonic() > self.deadline:
+                raise PlanTimeout("search deadline exceeded")
+            if len(entry) > 5:
+                self._verify(entry)
+                continue
+            _, ng, cx, cy, idx = entry
             key = ((cx, cy), idx)
             node = self.nodes.get(key)
             if node is None or node.g != -ng or key in self.closed:
                 continue
-            pops += 1
-            if self.deadline is not None and not pops & 127 and _time.monotonic() > self.deadline:
-                raise PlanTimeout("search deadline exceeded")
             if self.trace is not None:
-                self.trace.append(
-                    (node.cfg, node.interval.start, node.interval.end, node.g, node.time, f)
-                )
+                self.trace.append((node.cfg, node.interval.start, node.interval.end,
+                                   node.g, node.time, node.g + self._h(node.cfg)))
             if (cx, cy) == goal and math.isinf(node.interval.end):
                 return node
             self.closed.add(key)

@@ -1,9 +1,12 @@
 import math
 import random
 import time
+from heapq import heappop
+from types import SimpleNamespace
 
 import pytest
 
+from anysipp import planner
 from anysipp.constraints import build_table
 from anysipp.grid import GridMap
 from anysipp.planner import (
@@ -16,7 +19,7 @@ from anysipp.planner import (
     plan,
     reconstruct,
 )
-from anysipp.prioritized import generate_instance
+from anysipp.prioritized import generate_instance, plan_all
 from anysipp.trajectory import Trajectory, Waypoint
 from anysipp.validate import first_conflict
 
@@ -129,6 +132,50 @@ def test_timeout_raises():
         plan(grid, [], (0, 0), (31, 31), AA, deadline=time.monotonic() - 1.0)
 
 
+def test_timeout_raises_during_the_search(monkeypatch):
+    # The clock passes the deadline only after the search has started. The
+    # search reads it every 128 heap pops, candidates included; this search
+    # expands fewer than 128 states, so only the candidate pops reach 128.
+    grid = GridMap.empty(64, 64)
+    probe = Search(grid, build_table([]), (63, 63), AA)
+    probe.run((0, 0))
+    assert probe.expansions < 128
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 2.0
+
+    monkeypatch.setattr(planner, "_time", SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(PlanTimeout, match="search deadline"):
+        plan(grid, [], (0, 0), (63, 63), AA, deadline=1.0)
+
+
+def test_move_windows_are_built_lazily(monkeypatch):
+    # A relaxation pushes a candidate without its move windows; they are
+    # built only when the candidate is popped and not already beaten, so the
+    # requests stay close to the expansions.
+    inst = generate_instance(GridMap.empty(64, 64), 6, 0, "separated")
+    counts = {"requests": 0, "expansions": 0}
+    cols_for, run = Search._cols_for, Search.run
+
+    def counting_cols_for(self, *args):
+        counts["requests"] += 1
+        return cols_for(self, *args)
+
+    def counting_run(self, start):
+        try:
+            return run(self, start)
+        finally:
+            counts["expansions"] += self.expansions
+
+    monkeypatch.setattr(Search, "_cols_for", counting_cols_for)
+    monkeypatch.setattr(Search, "run", counting_run)
+    assert plan_all(inst, AA).success
+    assert counts["expansions"] > 0
+    assert counts["requests"] <= 2 * counts["expansions"], counts
+
+
 def test_heuristic_values():
     # The first trace record is the start state (g = 0), so its f is the
     # heuristic there; the goal record has f = g.
@@ -147,12 +194,23 @@ def fresh_search(grid, obstacles, goal, mode=AA):
     return Search(grid, build_table(obstacles), goal, mode)
 
 
+def expand_and_verify(search, state):
+    """Expands state, then pops the open list dry the way ``Search.run``
+    does, verifying every candidate the expansion pushed but expanding no
+    verified state."""
+    search.expand(state)
+    while search.open:
+        entry = heappop(search.open)
+        if len(entry) > 5:
+            search._verify(entry)
+
+
 def expand_from(search, cfg, g=0.0, parent=None):
     """Registers a state at cfg in its first safe interval, arriving at time
-    g, and expands it; returns the state."""
+    g, expands it and verifies its successors; returns the state."""
     state = SearchState(cfg, 0, search.intervals_at(cfg)[0], g, g, parent)
     search.nodes[(cfg, 0)] = state
-    search.expand(state)
+    expand_and_verify(search, state)
     return state
 
 
@@ -186,7 +244,7 @@ def test_shortcut_successor_kept_with_smaller_g():
     search = fresh_search(grid, [], (5, 1))
     root = expand_from(search, (0, 0))
     mid = search.nodes[((1, 1), 0)]
-    search.expand(mid)
+    expand_and_verify(search, mid)
     via_parent = search.nodes[((2, 1), 0)]
     assert via_parent.parent is root
     assert via_parent.g == pytest.approx(math.hypot(2, 1))
