@@ -9,10 +9,10 @@ Moves are verified lazily, as in Lazy Theta*. Relaxing a move into a safe
 interval pushes a candidate whose arrival ignores the move's collision
 windows, a lower bound on the true one. Only when the candidate is popped,
 and only if the destination state does not already hold a verified g it
-cannot beat, are the move's windows built (and, on a blocked grid, a
-shortcut's line of sight checked); the true arrival then creates or improves
-the state and pushes it as verified. Only verified states are expanded or
-reconstructed.
+cannot beat, is the move checked: its line of sight on a blocked grid and its
+collision windows, both built once per move and search. The true arrival then
+creates or improves the state and pushes it as verified. Only verified states
+are expanded or reconstructed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ INF = math.inf
 
 _CARDINAL = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _OCTILE = _CARDINAL + ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_SQRT2 = math.sqrt(2.0)
 
 
 class PlanningError(Exception):
@@ -104,9 +103,9 @@ class Search:
 
     The open list holds two kinds of entries, both keyed by f, then -g:
     verified states ``(f + 2*TOL, -g, x, y, idx)``, and candidates ``(f, -g,
-    x, y, idx, src.g, seq, src, cells)`` whose g is a lower bound and whose
-    move is verified by :meth:`_verify` when popped. Equal candidate keys pop
-    the more ancestral source first.
+    x, y, idx, src.g, seq, src)`` whose g is a lower bound and whose move is
+    verified by :meth:`_verify` when popped. Equal candidate keys pop the more
+    ancestral source first.
     """
 
     def __init__(
@@ -126,7 +125,6 @@ class Search:
         self.trace = trace
         self.steps = _OCTILE if mode.any_angle else _CARDINAL
         self.nodes = {}
-        self.closed = set()
         self.open: list = []
         self._intervals = {}
         self._cols = {}
@@ -142,22 +140,32 @@ class Search:
             self._intervals[cfg] = ivs
         return ivs
 
-    def _cols_for(self, src_cfg, cfg, cells):
-        key = (src_cfg, cfg)
-        cols = self._cols.get(key)
-        if cols is None:
-            table = self.table
-            # A move whose cells the caller did not enumerate (an open-grid
-            # shortcut) is first screened against the obstacle pieces: far
-            # from all of them, it has no collision window.
-            if not table._passes or (cells is None and not table.piece_near(src_cfg, cfg)):
-                cols = ()
-            else:
-                if cells is None:
-                    cells = swept_cells(src_cfg, cfg)
-                pieces = _relevant_from_cells(cells, table)
-                cols = tuple(collision_intervals_for_move(src_cfg, cfg, pieces))
-            self._cols[key] = cols
+    def _cols_for(self, a, b):
+        """The collision windows of the move a -> b, or None when a blocked
+        cell cuts its line of sight; built once per move and search. A
+        neighbour step sweeps its ends and corners, which :meth:`expand` has
+        checked against the map. A longer move enumerates its swept cells, on
+        a blocked grid for line of sight too; on an open grid it is first
+        screened against the obstacle pieces, and far from all of them it has
+        no windows."""
+        key = (a, b)
+        if key in self._cols:
+            return self._cols[key]
+        table = self.table
+        cols = ()
+        if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1:
+            cells = (a, b, (b[0], a[1]), (a[0], b[1]))  # straight: a, b twice
+        elif self.grid.any_blocked:
+            cells = swept_cells(a, b)
+            if not self.grid.cells_traversable(cells):
+                cols = None
+        elif table._passes and table.piece_near(a, b):
+            cells = swept_cells(a, b)
+        else:
+            cells = ()
+        if cols is not None and cells and table._passes:
+            cols = tuple(collision_intervals_for_move(a, b, _relevant_from_cells(cells, table)))
+        self._cols[key] = cols
         return cols
 
     def _h(self, cfg) -> float:
@@ -179,7 +187,7 @@ class Search:
         return not (g < node.g + TOL and node.parent is not None
                     and src.g < node.parent.g - TOL)
 
-    def _relax_via(self, cfg, src: SearchState, cells) -> None:
+    def _relax_via(self, cfg, src: SearchState) -> None:
         # The candidate's arrival ignores the move's windows, which can only
         # delay it, so its g is a lower bound; _verify computes the true one.
         m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
@@ -193,23 +201,20 @@ class Search:
             if self._beaten((cfg, idx), g, src):
                 continue
             self._seq += 1
-            heappush(self.open, (g + h, -g, cfg[0], cfg[1], idx, src.g, self._seq, src, cells))
+            heappush(self.open, (g + h, -g, cfg[0], cfg[1], idx, src.g, self._seq, src))
 
     def _verify(self, candidate) -> None:
-        """Builds a popped candidate's move windows (and, on a blocked grid, a
-        shortcut's line of sight), then applies its true arrival to the node:
-        create, improve, or take an equal-cost tie from a more ancestral
-        source."""
-        _, ng, x, y, idx, _, _, src, cells = candidate
+        """Checks a popped candidate's move through :meth:`_cols_for`, then
+        applies its true arrival to the node: create, improve, or take an
+        equal-cost tie from a more ancestral source."""
+        _, ng, x, y, idx, _, _, src = candidate
         cfg = (x, y)
         key = (cfg, idx)
         if self._beaten(key, -ng, src):
             return
-        if cells is None and self.grid.any_blocked:
-            cells = swept_cells(src.cfg, cfg)
-            if not self.grid.cells_traversable(cells):
-                return
-        cols = self._cols_for(src.cfg, cfg, cells)
+        cols = self._cols_for(src.cfg, cfg)
+        if cols is None:
+            return
         m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
         iv = self.intervals_at(cfg)[idx]
         t = earliest_arrival(cols, src.time + m_time, src.interval.end + m_time, iv)
@@ -221,18 +226,15 @@ class Search:
         node = self.nodes.get(key)
         if node is None:
             self.nodes[key] = SearchState(cfg, idx, iv, g2, t, src)
-        elif g2 >= node.g - TOL:
-            # Equal-cost tie from a more ancestral source: take it, so parent
-            # chains collapse onto straight sight lines. g is unchanged, so
-            # the node's open entry stays valid and no push is needed.
-            node.time = t
-            node.parent = src
-            return
         else:
-            node.g = g2
             node.time = t
             node.parent = src
-            self.closed.discard(key)
+            if g2 >= node.g - TOL:
+                # Equal-cost tie from a more ancestral source: take it, so
+                # parent chains collapse onto straight sight lines. g is
+                # unchanged, so the node's open entry stays valid.
+                return
+            node.g = g2
         # Verified entries sort 2*TOL late, so that a candidate whose lower
         # bound ties them within TOL is verified before the node expands.
         heappush(self.open, (g2 + self._h(cfg) + 2 * TOL, -g2, x, y, idx))
@@ -240,30 +242,21 @@ class Search:
     def expand(self, s: SearchState) -> None:
         grid = self.grid
         blocked = grid.any_blocked
-        have_table = bool(self.table._passes)
         sx, sy = s.cfg
-        par = s.parent
-        shortcut_ok = self.mode.any_angle and par is not None
+        par = s.parent if self.mode.any_angle else None
         for dx, dy in self.steps:
             cfg = (sx + dx, sy + dy)
             if blocked:
-                if dx and dy:
-                    cells = (s.cfg, cfg, (sx + dx, sy), (sx, sy + dy))
-                else:
-                    cells = (s.cfg, cfg)
+                cells = (s.cfg, cfg, (cfg[0], sy), (sx, cfg[1])) if dx and dy else (s.cfg, cfg)
                 if not grid.cells_traversable(cells):
                     continue
-            else:
-                if not grid.in_bounds(cfg):
-                    continue
-                cells = ((s.cfg, cfg, (sx + dx, sy), (sx, sy + dy)) if dx and dy
-                         else (s.cfg, cfg)) if have_table else None
-            self._relax_via(cfg, s, cells)
-            if shortcut_ok and cfg != par.cfg:
-                # A shortcut's swept cells are enumerated only if it is
-                # verified: for line of sight on a blocked grid, and otherwise
-                # only when it passes near an obstacle piece.
-                self._relax_via(cfg, par, None)
+            elif not grid.in_bounds(cfg):
+                continue
+            self._relax_via(cfg, s)
+            # A shortcut to a cell next to the parent would repeat a step the
+            # parent relaxed when it was expanded.
+            if par is not None and (abs(cfg[0] - par.cfg[0]) > 1 or abs(cfg[1] - par.cfg[1]) > 1):
+                self._relax_via(cfg, par)
 
     # -- main loop -----------------------------------------------------------
 
@@ -288,14 +281,13 @@ class Search:
             _, ng, cx, cy, idx = entry
             key = ((cx, cy), idx)
             node = self.nodes.get(key)
-            if node is None or node.g != -ng or key in self.closed:
+            if node is None or node.g != -ng:
                 continue
             if self.trace is not None:
                 self.trace.append((node.cfg, node.interval.start, node.interval.end,
                                    node.g, node.time, node.g + self._h(node.cfg)))
             if (cx, cy) == goal and math.isinf(node.interval.end):
                 return node
-            self.closed.add(key)
             self.expansions += 1
             self.expand(node)
         raise GoalUnreachable(f"goal {goal} cannot be reached conflict-free")

@@ -18,6 +18,7 @@ from .grid import GridMap
 from .planner import (
     GoalUnreachable,
     PlannerMode,
+    PlanningError,
     PlanTimeout,
     StartUnsafe,
     plan,
@@ -29,6 +30,11 @@ STATUS_START_UNSAFE = "start_unsafe"
 STATUS_UNREACHABLE = "unreachable"
 STATUS_TIMEOUT = "timeout"
 STATUS_SKIPPED = "skipped"
+_FAILURE_STATUS = {
+    PlanTimeout: STATUS_TIMEOUT,
+    StartUnsafe: STATUS_START_UNSAFE,
+    GoalUnreachable: STATUS_UNREACHABLE,
+}
 
 
 class InstanceError(ValueError):
@@ -107,17 +113,9 @@ def plan_all(
                 instance.grid, (), start, goal, mode,
                 table=table, deadline=deadline, trace=trace,
             )
-        except PlanTimeout:
+        except PlanningError as exc:
             trajectories.append(None)
-            statuses.append(STATUS_TIMEOUT)
-            failed = True
-        except StartUnsafe:
-            trajectories.append(None)
-            statuses.append(STATUS_START_UNSAFE)
-            failed = True
-        except GoalUnreachable:
-            trajectories.append(None)
-            statuses.append(STATUS_UNREACHABLE)
+            statuses.append(_FAILURE_STATUS[type(exc)])
             failed = True
         else:
             trajectories.append(traj)

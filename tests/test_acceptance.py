@@ -129,6 +129,7 @@ def test_criterion_3_wfi_completeness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_benchmark_cost_band():
     grid = GridMap.empty(64, 64)
     instances = [

@@ -186,7 +186,7 @@ def _full_move_model(a, b, table):
 
 def _screened_move_model(a, b, table, size):
     search = Search(GridMap.empty(size, size), table, b, PlannerMode.anyangle())
-    return search._cols_for(a, b, None)
+    return search._cols_for(a, b)
 
 
 def test_piece_screen_is_exact_on_random_scenes():

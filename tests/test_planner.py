@@ -8,6 +8,7 @@ import pytest
 
 from anysipp import planner
 from anysipp.constraints import build_table
+from anysipp.geometry import swept_cells
 from anysipp.grid import GridMap
 from anysipp.planner import (
     GoalUnreachable,
@@ -19,7 +20,7 @@ from anysipp.planner import (
     plan,
     reconstruct,
 )
-from anysipp.prioritized import generate_instance, plan_all
+from anysipp.prioritized import Instance, generate_instance, plan_all
 from anysipp.trajectory import Trajectory, Waypoint
 from anysipp.validate import first_conflict
 
@@ -30,6 +31,7 @@ from oracles import (
     time_expanded_best_cost,
     time_expanded_exact_best_cost,
 )
+from test_golden import blocked_grid
 
 AA = PlannerMode.anyangle()
 CARDINAL = PlannerMode.cardinal()
@@ -174,6 +176,27 @@ def test_move_windows_are_built_lazily(monkeypatch):
     assert plan_all(inst, AA).success
     assert counts["expansions"] > 0
     assert counts["requests"] <= 2 * counts["expansions"], counts
+
+
+def test_blocked_grid_checks_each_move_once(monkeypatch):
+    # A move's line of sight and windows are built once per search, however
+    # many candidates it has (one per destination interval, and more after
+    # each improvement of its source). Line-of-sight checks count as model
+    # requests here, so the open grid's request bound above does not apply.
+    grid = blocked_grid(32, 0.2, 3)
+    *others, (start, goal) = generate_instance(grid, 6, 3, "separated").agents
+    obstacles = plan_all(Instance(grid, others), AA).trajectories
+    assert all(obstacles)
+    moves = []
+
+    def recording_swept_cells(a, b):
+        moves.append((a, b))
+        return swept_cells(a, b)
+
+    monkeypatch.setattr(planner, "swept_cells", recording_swept_cells)
+    traj = plan(grid, obstacles, start, goal, AA)
+    assert_clear_of(traj, obstacles)
+    assert moves and len(set(moves)) == len(moves)
 
 
 def test_heuristic_values():
