@@ -40,10 +40,7 @@ def swept_cells(a, b) -> Tuple[Cell, ...]:
     if pb < pa:
         pa, pb = pb, pa
     ax, ay = pa
-    bx, by = pb
-    if bx - ax <= SHORT_MOVE and abs(by - ay) <= SHORT_MOVE:
-        return _swept_cached(ax, ay, bx, by)
-    return _swept_long(ax, ay, bx, by)
+    return tuple([(ax + x, ay + y) for x, y in _swept_cached(pb[0] - ax, pb[1] - ay)])
 
 
 def _sweep(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
@@ -61,14 +58,19 @@ def _sweep(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
     return _swept_general(ax, ay, bx, by)
 
 
-# Moves of up to SHORT_MOVE cells along each axis repeat often (unit steps,
-# the shortcuts a blocked map allows) and share the large cache. Longer moves
-# are open-grid shortcuts that seldom repeat and sweep up to hundreds of cells
-# each; their own small cache fills within a few instances, so the memory the
-# caches hold stops growing early in a run instead of with every instance.
-SHORT_MOVE = 8
-_swept_cached = lru_cache(maxsize=1 << 16)(_sweep)
-_swept_long = lru_cache(maxsize=1 << 12)(_sweep)
+# The swept set is translation invariant: every test in the sweeps depends
+# only on the displacement, so one entry per (dx, dy) serves every move with
+# that displacement, and a map of side n has at most 2n^2 of them. The
+# entries hold cell offsets from the smaller end point; the offset pairs are
+# interned, so that an entry costs one pointer per cell. The bound holds a
+# 64x64 map's every displacement; larger maps evict the least recent.
+_OFFSETS: dict = {}
+
+
+@lru_cache(maxsize=1 << 13)
+def _swept_cached(dx: int, dy: int) -> Tuple[Cell, ...]:
+    intern = _OFFSETS.setdefault
+    return tuple([intern(c, c) for c in _sweep(0, 0, dx, dy)])
 
 
 def _swept_diagonal(ax, ay, bx, by) -> Tuple[Cell, ...]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import Cell, swept_cells
 
@@ -25,7 +25,7 @@ class MapFormatError(ValueError):
 class GridMap:
     """Immutable occupancy grid. Out-of-bounds cells count as blocked."""
 
-    __slots__ = ("width", "height", "_rows", "any_blocked")
+    __slots__ = ("width", "height", "_rows", "any_blocked", "_successors")
 
     def __init__(self, width: int, height: int, rows: List[bytes]):
         if width < 1 or height < 1:
@@ -36,6 +36,7 @@ class GridMap:
         self.height = height
         self._rows = tuple(bytes(r) for r in rows)
         self.any_blocked = any(any(r) for r in self._rows)
+        self._successors = {}
 
     @classmethod
     def empty(cls, width: int, height: int) -> "GridMap":
@@ -68,6 +69,19 @@ class GridMap:
                 return False
         return True
 
+    def successors(self, steps: Sequence[Cell]) -> "_Successors":
+        """The map's successor table for a step set: indexed by a cell, it
+        gives the cells one step away that a disk can slide to, in step
+        order. A step is kept when the cell, its end and, for a diagonal, the
+        two cells at the corner it passes are traversable. Each cell's entry
+        is filled on first use and kept for the map's life, one table per
+        step set."""
+        steps = tuple(steps)
+        table = self._successors.get(steps)
+        if table is None:
+            table = self._successors[steps] = _Successors(self, steps)
+        return table
+
     def move_is_feasible(self, a, b) -> bool:
         """True iff a disk of radius 0.5 can slide straight from a to b
         without touching a blocked (or out-of-bounds) cell."""
@@ -98,6 +112,31 @@ class GridMap:
 
     def __repr__(self):
         return f"GridMap({self.width}x{self.height}, blocked={self.any_blocked})"
+
+
+class _Successors(dict):
+    """Cell -> tuple of neighbour cells; see :meth:`GridMap.successors`."""
+
+    __slots__ = ("grid", "steps")
+
+    def __init__(self, grid: GridMap, steps: Tuple[Cell, ...]):
+        super().__init__()
+        self.grid = grid
+        self.steps = steps
+
+    def __missing__(self, cell) -> Tuple[Cell, ...]:
+        free = self.grid.is_traversable
+        c, r = cell
+        out = ()
+        if free(cell):
+            out = tuple(
+                (c + dx, r + dy)
+                for dx, dy in self.steps
+                if free((c + dx, r + dy))
+                and (not (dx and dy) or (free((c + dx, r)) and free((c, r + dy))))
+            )
+        self[cell] = out
+        return out
 
 
 def parse_map(data) -> GridMap:

@@ -13,6 +13,12 @@ cannot beat, is the move checked: its line of sight on a blocked grid and its
 collision windows, both built once per move and search. The true arrival then
 creates or improves the state and pushes it as verified. Only verified states
 are expanded or reconstructed.
+
+As in Lazy Theta*, a neighbour gets one candidate per safe interval: the
+shortcut from the expanded state's parent wherever the parent reaches the
+interval, else the step from the expanded state. A shortcut candidate carries
+the expanded state as its fallback, whose own candidate is pushed only when
+the shortcut's pops, and only if the shortcut has not beaten it by then.
 """
 
 from __future__ import annotations
@@ -103,9 +109,10 @@ class Search:
 
     The open list holds two kinds of entries, both keyed by f, then -g:
     verified states ``(f + 2*TOL, -g, x, y, idx)``, and candidates ``(f, -g,
-    x, y, idx, src.g, seq, src)`` whose g is a lower bound and whose move is
-    verified by :meth:`_verify` when popped. Equal candidate keys pop the more
-    ancestral source first.
+    x, y, idx, src.g, seq, src, fallback)`` whose g is a lower bound and whose
+    move is verified by :meth:`_verify` when popped. Equal candidate keys pop
+    the more ancestral source first. ``fallback`` is None, or for a shortcut
+    from src the expanded state whose own candidate waits on this one.
     """
 
     def __init__(
@@ -123,29 +130,35 @@ class Search:
         self.mode = mode
         self.deadline = deadline
         self.trace = trace
-        self.steps = _OCTILE if mode.any_angle else _CARDINAL
+        self._next = grid.successors(_OCTILE if mode.any_angle else _CARDINAL)
         self.nodes = {}
         self.open: list = []
-        self._intervals = {}
+        self._cells = {}
         self._cols = {}
         self._seq = 0
         self.expansions = 0
 
     # -- geometry/constraint lookups, cached per search --------------------
 
+    def _record(self, cfg) -> Tuple[Tuple[TimeInterval, ...], float]:
+        """A cell's safe intervals and heuristic, built once per search."""
+        rec = self._cells.get(cfg)
+        if rec is None:
+            dx = cfg[0] - self.goal[0]
+            dy = cfg[1] - self.goal[1]
+            h = math.hypot(dx, dy) if self.mode.any_angle else float(abs(dx) + abs(dy))
+            rec = self._cells[cfg] = (self.table.safe_intervals_at(cfg), h)
+        return rec
+
     def intervals_at(self, cfg) -> Tuple[TimeInterval, ...]:
-        ivs = self._intervals.get(cfg)
-        if ivs is None:
-            ivs = self.table.safe_intervals_at(cfg)
-            self._intervals[cfg] = ivs
-        return ivs
+        return self._record(cfg)[0]
 
     def _cols_for(self, a, b):
         """The collision windows of the move a -> b, or None when a blocked
         cell cuts its line of sight; built once per move and search. A
-        neighbour step sweeps its ends and corners, which :meth:`expand` has
-        checked against the map. A longer move enumerates its swept cells, on
-        a blocked grid for line of sight too; on an open grid it is first
+        neighbour step sweeps its ends and corners, which the map's successor
+        table has checked. A longer move enumerates its swept cells, on a
+        blocked grid for line of sight too; on an open grid it is first
         screened against the obstacle pieces, and far from all of them it has
         no windows."""
         key = (a, b)
@@ -168,13 +181,6 @@ class Search:
         self._cols[key] = cols
         return cols
 
-    def _h(self, cfg) -> float:
-        dx = cfg[0] - self.goal[0]
-        dy = cfg[1] - self.goal[1]
-        if self.mode.any_angle:
-            return math.hypot(dx, dy)
-        return float(abs(dx) + abs(dy))
-
     # -- successor generation ----------------------------------------------
 
     def _beaten(self, key, g, src) -> bool:
@@ -187,36 +193,48 @@ class Search:
         return not (g < node.g + TOL and node.parent is not None
                     and src.g < node.parent.g - TOL)
 
-    def _relax_via(self, cfg, src: SearchState) -> None:
-        # The candidate's arrival ignores the move's windows, which can only
-        # delay it, so its g is a lower bound; _verify computes the true one.
-        m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
+    def _candidate(self, x, y, idx, iv, h, src: SearchState, fallback) -> bool:
+        """Pushes src's candidate for safe interval idx of cell (x, y) unless
+        the node there beats it (:meth:`_beaten`, inlined). Returns whether
+        src can reach the interval at all. The candidate's arrival ignores
+        the move's windows, which can only delay it, so its g is a lower
+        bound; :meth:`_verify` computes the true one."""
+        m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
         start_t = src.time + m_time
-        end_t = src.interval.end + m_time
-        h = self._h(cfg)
-        for idx, iv in enumerate(self.intervals_at(cfg)):
-            if iv.start > end_t or iv.end < start_t:
-                continue
-            g = src.g + (max(start_t, iv.start) - src.time)
-            if self._beaten((cfg, idx), g, src):
-                continue
+        lo, hi = iv
+        if lo > src.interval.end + m_time or hi < start_t:
+            return False
+        g = src.g + ((start_t if start_t >= lo else lo) - src.time)
+        node = self.nodes.get(((x, y), idx))
+        if (node is None or g < node.g - TOL
+                or (g < node.g + TOL and node.parent is not None and src.g < node.parent.g - TOL)):
             self._seq += 1
-            heappush(self.open, (g + h, -g, cfg[0], cfg[1], idx, src.g, self._seq, src))
+            heappush(self.open, (g + h, -g, x, y, idx, src.g, self._seq, src, fallback))
+        return True
 
     def _verify(self, candidate) -> None:
-        """Checks a popped candidate's move through :meth:`_cols_for`, then
-        applies its true arrival to the node: create, improve, or take an
-        equal-cost tie from a more ancestral source."""
-        _, ng, x, y, idx, _, _, src = candidate
+        """Checks a popped candidate's move through :meth:`_cols_for` and
+        applies its true arrival to the node; then, for a shortcut, pushes
+        its fallback's own candidate for the interval unless it is beaten by
+        now."""
+        _, ng, x, y, idx, _, _, src, fallback = candidate
+        ivs, h = self._cells[(x, y)]
+        self._arrive(x, y, idx, ivs[idx], h, -ng, src)
+        if fallback is not None:
+            self._candidate(x, y, idx, ivs[idx], h, fallback, None)
+
+    def _arrive(self, x, y, idx, iv, h, g, src: SearchState) -> None:
+        """Creates or improves the node at interval idx of (x, y) with the
+        true arrival from src, or takes an equal-cost tie from a more
+        ancestral source."""
         cfg = (x, y)
         key = (cfg, idx)
-        if self._beaten(key, -ng, src):
+        if self._beaten(key, g, src):
             return
         cols = self._cols_for(src.cfg, cfg)
         if cols is None:
             return
         m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
-        iv = self.intervals_at(cfg)[idx]
         t = earliest_arrival(cols, src.time + m_time, src.interval.end + m_time, iv)
         if t is None:
             return
@@ -237,37 +255,36 @@ class Search:
             node.g = g2
         # Verified entries sort 2*TOL late, so that a candidate whose lower
         # bound ties them within TOL is verified before the node expands.
-        heappush(self.open, (g2 + self._h(cfg) + 2 * TOL, -g2, x, y, idx))
+        heappush(self.open, (g2 + h + 2 * TOL, -g2, x, y, idx))
 
     def expand(self, s: SearchState) -> None:
-        grid = self.grid
-        blocked = grid.any_blocked
-        sx, sy = s.cfg
+        """Relaxes the moves from s to its neighbours in the map's successor
+        table. In any-angle mode a neighbour that is not next to s's parent
+        is relaxed as a shortcut from the parent first: each safe interval
+        the parent reaches gets the parent's candidate alone, carrying s as
+        its fallback, and only the others get s's own candidate now. (The
+        parent's lower bound never exceeds s's, so where the parent's
+        candidate is beaten, s's is too.)"""
         par = s.parent if self.mode.any_angle else None
-        for dx, dy in self.steps:
-            cfg = (sx + dx, sy + dy)
-            if blocked:
-                cells = (s.cfg, cfg, (cfg[0], sy), (sx, cfg[1])) if dx and dy else (s.cfg, cfg)
-                if not grid.cells_traversable(cells):
-                    continue
-            elif not grid.in_bounds(cfg):
-                continue
-            self._relax_via(cfg, s)
-            # A shortcut to a cell next to the parent would repeat a step the
-            # parent relaxed when it was expanded.
-            if par is not None and (abs(cfg[0] - par.cfg[0]) > 1 or abs(cfg[1] - par.cfg[1]) > 1):
-                self._relax_via(cfg, par)
+        cells = self._cells
+        for cfg in self._next[s.cfg]:
+            ivs, h = cells.get(cfg) or self._record(cfg)
+            x, y = cfg
+            shortcut = par is not None and (abs(x - par.cfg[0]) > 1 or abs(y - par.cfg[1]) > 1)
+            for idx, iv in enumerate(ivs):
+                if not (shortcut and self._candidate(x, y, idx, iv, h, par, s)):
+                    self._candidate(x, y, idx, iv, h, s, None)
 
     # -- main loop -----------------------------------------------------------
 
     def run(self, start: Cell) -> SearchState:
         start = tuple(start)
-        ivs = self.intervals_at(start)
+        ivs, h = self._record(start)
         if not ivs or ivs[0].start > TOL:
             raise StartUnsafe(f"start {start} is in collision at time 0")
         root = SearchState(start, 0, ivs[0], 0.0, 0.0, None)
         self.nodes[(start, 0)] = root
-        heappush(self.open, (self._h(start), 0.0, start[0], start[1], 0))
+        heappush(self.open, (h, 0.0, start[0], start[1], 0))
         goal = self.goal
         pops = 0
         while self.open:
@@ -285,7 +302,7 @@ class Search:
                 continue
             if self.trace is not None:
                 self.trace.append((node.cfg, node.interval.start, node.interval.end,
-                                   node.g, node.time, node.g + self._h(node.cfg)))
+                                   node.g, node.time, node.g + self._cells[node.cfg][1]))
             if (cx, cy) == goal and math.isinf(node.interval.end):
                 return node
             self.expansions += 1

@@ -71,21 +71,21 @@ def test_sweep_symmetry_and_endpoints_and_size():
         assert len(set(cells)) == len(cells)
 
 
-def test_long_moves_have_their_own_smaller_cache():
-    short, long_ = geometry._swept_cached, geometry._swept_long
-    short.cache_clear()
-    long_.cache_clear()
-    n = geometry.SHORT_MOVE
-    swept_cells((0, 0), (n, -n))
-    swept_cells((0, 0), (n + 1, 3))
-    swept_cells((n + 1, 3), (0, 0))
-    swept_cells((2, 0), (3, n + 2))
-    assert (short.cache_info().currsize, short.cache_info().hits) == (1, 0)
-    assert (long_.cache_info().currsize, long_.cache_info().hits) == (2, 1)
-    assert long_.cache_info().maxsize < short.cache_info().maxsize
-    # The tier changes where a result is kept, never the result.
-    for a, b in (((0, 0), (n, -n)), ((0, 0), (n + 1, 3)), ((2, 0), (3, n + 2))):
-        assert swept_cells(a, b) == geometry._sweep(*a, *b)
+def test_moves_with_one_displacement_share_one_cache_entry():
+    cache = geometry._swept_cached
+    cache.cache_clear()
+    swept_cells((0, 0), (11, 3))
+    swept_cells((11, 3), (0, 0))  # the reverse
+    swept_cells((-7, 20), (4, 23))  # a translate
+    info = cache.cache_info()
+    assert (info.currsize, info.hits) == (1, 2)
+    assert info.maxsize is not None
+    # The cache changes where a result is kept, never the result.
+    for a, b in (((0, 0), (2, -1)), ((3, 4), (4, 4)), ((5, 5), (5, 5)),
+                 ((0, 0), (11, 3)), ((-7, 20), (4, 23)), ((-3, -9), (-40, 17)),
+                 ((-1, -1), (-6, -6)), ((2, -30), (2, 12))):
+        lo, hi = min(a, b), max(a, b)
+        assert swept_cells(a, b) == geometry._sweep(*lo, *hi)
 
 
 def test_dist_examples():

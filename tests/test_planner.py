@@ -138,8 +138,8 @@ def test_timeout_raises_during_the_search(monkeypatch):
     # The clock passes the deadline only after the search has started. The
     # search reads it every 128 heap pops, candidates included; this search
     # expands fewer than 128 states, so only the candidate pops reach 128.
-    grid = GridMap.empty(64, 64)
-    probe = Search(grid, build_table([]), (63, 63), AA)
+    grid = GridMap.empty(100, 100)
+    probe = Search(grid, build_table([]), (99, 99), AA)
     probe.run((0, 0))
     assert probe.expansions < 128
     reads = []
@@ -150,7 +150,7 @@ def test_timeout_raises_during_the_search(monkeypatch):
 
     monkeypatch.setattr(planner, "_time", SimpleNamespace(monotonic=monotonic))
     with pytest.raises(PlanTimeout, match="search deadline"):
-        plan(grid, [], (0, 0), (63, 63), AA, deadline=1.0)
+        plan(grid, [], (0, 0), (99, 99), AA, deadline=1.0)
 
 
 def test_move_windows_are_built_lazily(monkeypatch):
@@ -176,6 +176,44 @@ def test_move_windows_are_built_lazily(monkeypatch):
     assert plan_all(inst, AA).success
     assert counts["expansions"] > 0
     assert counts["requests"] <= 2 * counts["expansions"], counts
+
+
+def test_one_candidate_per_shortcut(monkeypatch):
+    # A neighbour that the expanded state's parent reaches gets the parent's
+    # shortcut candidate alone; the expanded state's own candidate waits
+    # until that one pops, and is pushed only if it is not beaten by then.
+    # An 8-connected state has 8 neighbours; pushing both candidates made
+    # about 12 pushes per expansion here.
+    inst = generate_instance(GridMap.empty(64, 64), 6, 0, "separated")
+    counts = {"candidates": 0, "expansions": 0}
+    push, run = planner.heappush, Search.run
+
+    def counting_push(heap, entry):
+        counts["candidates"] += len(entry) > 5
+        push(heap, entry)
+
+    def counting_run(self, start):
+        try:
+            return run(self, start)
+        finally:
+            counts["expansions"] += self.expansions
+
+    monkeypatch.setattr(planner, "heappush", counting_push)
+    monkeypatch.setattr(Search, "run", counting_run)
+    assert plan_all(inst, AA).success
+    assert counts["expansions"] > 0
+    assert counts["candidates"] <= 8 * counts["expansions"], counts
+
+
+def test_failed_shortcut_falls_back_to_the_expanded_state():
+    # (2, 0) is blocked, so no sight line from (0, 0) reaches (2, 1): the
+    # shortcut candidate fails when popped, and its fallback, the step from
+    # the expanded state (1, 1), carries the optimal path round the corner.
+    grid = GridMap.from_blocked(5, 3, [(2, 0)])
+    assert not grid.move_is_feasible((0, 0), (2, 1))
+    traj = plan(grid, [], (0, 0), (4, 0), AA)
+    assert [wp.cell for wp in traj.waypoints] == [(0, 0), (1, 1), (3, 1), (4, 0)]
+    assert traj.cost() == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), abs=1e-9)
 
 
 def test_blocked_grid_checks_each_move_once(monkeypatch):
