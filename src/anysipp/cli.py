@@ -18,7 +18,6 @@ from .prioritized import (
     GenerationError,
     Instance,
     InstanceError,
-    Solution,
     generate_instance,
     load_agents,
     plan_all,
@@ -95,10 +94,10 @@ def _run_instance(task):
                 dumps.extend(format_trajectory(traj))
         if traces and sol.traces:
             for i, tr in enumerate(sol.traces):
-                for cfg, iv_lo, iv_hi, g, t, f in tr or ():
+                for cfg, iv_lo, iv_hi, g, f in tr or ():
                     trace_lines.append(
                         f"{inst_id} {mode_name} {i} {cfg[0]} {cfg[1]} "
-                        f"{iv_lo!r} {iv_hi!r} {g!r} {t!r} {f!r}"
+                        f"{iv_lo!r} {iv_hi!r} {g!r} {f!r}"
                     )
     return records, dumps, trace_lines
 
@@ -180,24 +179,6 @@ def format_csv(records: Sequence[RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> List[RunRecord]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized results CSV header")
-    out = []
-    for ln in lines[1:]:
-        inst, mode, agents, success, time_s, cost, valid, seed = ln.split(",")
-        out.append(
-            RunRecord(
-                inst, mode, int(agents), success == "true", float(time_s),
-                float(cost) if cost else None,
-                None if valid == "" else valid == "true",
-                int(seed),
-            )
-        )
-    return out
-
-
 def emit_results(records, summary, prefix: str, dumps=None, traces=None) -> None:
     prefix_path = Path(prefix)
     prefix_path.parent.mkdir(parents=True, exist_ok=True)
@@ -236,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=1, help="number of generated instances")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--mode", choices=[*MODE_NAMES, "both"], default="both")
-    p.add_argument("--timeout", type=float, default=300.0, help="seconds per run")
+    p.add_argument("--timeout", type=float, default=300.0,
+                   help="wall-clock seconds for planning each instance in each mode")
     p.add_argument("--out", help="output artifact prefix (.csv/.json)")
     p.add_argument("--dump-trajectories", action="store_true")
     p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=True)

@@ -86,21 +86,21 @@ class PlannerMode:
 
 
 class SearchState:
-    __slots__ = ("cfg", "interval_index", "interval", "g", "time", "parent")
+    """A cell and one of its safe intervals, reached at time g. Every move
+    and wait costs its duration from the root at time 0, so g is both the
+    state's cost and its arrival time."""
 
-    def __init__(self, cfg, interval_index, interval, g, time, parent):
+    __slots__ = ("cfg", "interval_index", "interval", "g", "parent")
+
+    def __init__(self, cfg, interval_index, interval, g, parent):
         self.cfg = cfg
         self.interval_index = interval_index
         self.interval = interval
         self.g = g
-        self.time = time
         self.parent = parent
 
     def __repr__(self):
-        return (
-            f"SearchState(cfg={self.cfg}, iv={self.interval_index}, "
-            f"g={self.g:.3f}, time={self.time:.3f})"
-        )
+        return f"SearchState(cfg={self.cfg}, iv={self.interval_index}, g={self.g:.3f})"
 
 
 class Search:
@@ -150,9 +150,6 @@ class Search:
             rec = self._cells[cfg] = (self.table.safe_intervals_at(cfg), h)
         return rec
 
-    def intervals_at(self, cfg) -> Tuple[TimeInterval, ...]:
-        return self._record(cfg)[0]
-
     def _cols_for(self, a, b):
         """The collision windows of the move a -> b, or None when a blocked
         cell cuts its line of sight; built once per move and search. A
@@ -200,11 +197,11 @@ class Search:
         the move's windows, which can only delay it, so its g is a lower
         bound; :meth:`_verify` computes the true one."""
         m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
-        start_t = src.time + m_time
+        start_t = src.g + m_time
         lo, hi = iv
         if lo > src.interval.end + m_time or hi < start_t:
             return False
-        g = src.g + ((start_t if start_t >= lo else lo) - src.time)
+        g = start_t if start_t >= lo else lo
         node = self.nodes.get(((x, y), idx))
         if (node is None or g < node.g - TOL
                 or (g < node.g + TOL and node.parent is not None and src.g < node.parent.g - TOL)):
@@ -235,27 +232,24 @@ class Search:
         if cols is None:
             return
         m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
-        t = earliest_arrival(cols, src.time + m_time, src.interval.end + m_time, iv)
-        if t is None:
-            return
-        g2 = src.g + (t - src.time)
-        if self._beaten(key, g2, src):
+        g = earliest_arrival(cols, src.g + m_time, src.interval.end + m_time, iv)
+        if g is None or self._beaten(key, g, src):
             return
         node = self.nodes.get(key)
         if node is None:
-            self.nodes[key] = SearchState(cfg, idx, iv, g2, t, src)
+            self.nodes[key] = SearchState(cfg, idx, iv, g, src)
         else:
-            node.time = t
             node.parent = src
-            if g2 >= node.g - TOL:
+            if g >= node.g - TOL:
                 # Equal-cost tie from a more ancestral source: take it, so
-                # parent chains collapse onto straight sight lines. g is
-                # unchanged, so the node's open entry stays valid.
+                # parent chains collapse onto straight sight lines. The node
+                # keeps its g, within TOL of the arrival from src, so its
+                # open entry stays valid.
                 return
-            node.g = g2
+            node.g = g
         # Verified entries sort 2*TOL late, so that a candidate whose lower
         # bound ties them within TOL is verified before the node expands.
-        heappush(self.open, (g2 + h + 2 * TOL, -g2, x, y, idx))
+        heappush(self.open, (g + h + 2 * TOL, -g, x, y, idx))
 
     def expand(self, s: SearchState) -> None:
         """Relaxes the moves from s to its neighbours in the map's successor
@@ -282,7 +276,7 @@ class Search:
         ivs, h = self._record(start)
         if not ivs or ivs[0].start > TOL:
             raise StartUnsafe(f"start {start} is in collision at time 0")
-        root = SearchState(start, 0, ivs[0], 0.0, 0.0, None)
+        root = SearchState(start, 0, ivs[0], 0.0, None)
         self.nodes[(start, 0)] = root
         heappush(self.open, (h, 0.0, start[0], start[1], 0))
         goal = self.goal
@@ -302,7 +296,7 @@ class Search:
                 continue
             if self.trace is not None:
                 self.trace.append((node.cfg, node.interval.start, node.interval.end,
-                                   node.g, node.time, node.g + self._cells[node.cfg][1]))
+                                   node.g, node.g + self._cells[node.cfg][1]))
             if (cx, cy) == goal and math.isinf(node.interval.end):
                 return node
             self.expansions += 1
@@ -311,8 +305,9 @@ class Search:
 
 
 def reconstruct(goal_state: SearchState) -> Trajectory:
-    """Trajectory from the parent chain; a wait is inserted at a segment's
-    start whenever the child arrives later than travel time alone allows."""
+    """Trajectory from the parent chain, each waypoint arriving at its
+    state's g; a wait is inserted at a segment's start whenever the child
+    arrives later than travel time alone allows."""
     chain = []
     node = goal_state
     while node is not None:
@@ -322,9 +317,9 @@ def reconstruct(goal_state: SearchState) -> Trajectory:
     wps = []
     for u, v in zip(chain, chain[1:]):
         hop = math.hypot(v.cfg[0] - u.cfg[0], v.cfg[1] - u.cfg[1])
-        wait = v.time - u.time - hop
-        wps.append(Waypoint(u.cfg, u.time, wait if wait > TOL else 0.0))
-    wps.append(Waypoint(chain[-1].cfg, chain[-1].time, INF))
+        wait = v.g - u.g - hop
+        wps.append(Waypoint(u.cfg, u.g, wait if wait > TOL else 0.0))
+    wps.append(Waypoint(chain[-1].cfg, chain[-1].g, INF))
     return Trajectory(wps)
 
 

@@ -23,7 +23,7 @@ from .planner import (
     StartUnsafe,
     plan,
 )
-from .trajectory import Trajectory, solution_cost
+from .trajectory import Trajectory
 
 STATUS_OK = "ok"
 STATUS_START_UNSAFE = "start_unsafe"
@@ -123,7 +123,7 @@ def plan_all(
             table.add_trajectory(traj)
         if traces is not None:
             traces.append(trace)
-    total = solution_cost(trajectories) if not failed else None
+    total = sum(t.cost() for t in trajectories) if not failed else None
     return Solution(trajectories, statuses, total, _time.monotonic() - t0, traces)
 
 

@@ -6,7 +6,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .geometry import Cell, Point
 
@@ -49,18 +49,6 @@ class Trajectory:
                     f"arrival {nxt.arrival} at waypoint {i+1} inconsistent, expected {expect}"
                 )
         self._arrivals = [wp.arrival for wp in wps]
-
-    @property
-    def start_cell(self) -> Cell:
-        return self.waypoints[0].cell
-
-    @property
-    def goal_cell(self) -> Cell:
-        return self.waypoints[-1].cell
-
-    @property
-    def final_time(self) -> float:
-        return self.waypoints[-1].arrival
 
     def cost(self) -> float:
         """Sum of segment lengths and finite waits; equals the final arrival."""
@@ -114,14 +102,6 @@ class Trajectory:
         return pieces, [p[0] for p in pieces]
 
 
-def single_cell_trajectory(cell: Cell) -> Trajectory:
-    return Trajectory([Waypoint(tuple(cell), 0.0, math.inf)])
-
-
-def solution_cost(trajectories: Sequence[Trajectory]) -> float:
-    return sum(t.cost() for t in trajectories)
-
-
 def format_trajectory(traj: Trajectory) -> List[str]:
     """One ``col row arrival wait`` line per waypoint, terminal wait ``inf``."""
     out = []
@@ -129,11 +109,3 @@ def format_trajectory(traj: Trajectory) -> List[str]:
         wait = "inf" if math.isinf(wp.wait) else repr(wp.wait)
         out.append(f"{wp.cell[0]} {wp.cell[1]} {wp.arrival!r} {wait}")
     return out
-
-
-def parse_trajectory(lines: Sequence[str]) -> Trajectory:
-    wps = []
-    for line in lines:
-        c, r, arrival, wait = line.split()
-        wps.append(Waypoint((int(c), int(r)), float(arrival), float(wait)))
-    return Trajectory(wps)

@@ -12,6 +12,8 @@ from collections import deque
 
 import numpy as np
 
+from anysipp.cli import RunRecord
+from anysipp.grid import GridMap
 from anysipp.trajectory import Trajectory, Waypoint
 
 RADIUS = 0.5
@@ -199,6 +201,23 @@ def flood_fill(grid, start, connectivity=4):
     return reached
 
 
+def blocked_grid(size, share, seed):
+    """Seeded random blocks, cut down to the largest 4-connected free region
+    so that every start can reach every goal on the static map."""
+    rng = random.Random(seed)
+    cells = [(c, r) for r in range(size) for c in range(size)]
+    blocked = set(rng.sample(cells, round(share * len(cells))))
+    grid = GridMap.from_blocked(size, size, blocked)
+    best, seen = set(), set()
+    for cell in grid.free_cells():
+        if cell not in seen:
+            region = flood_fill(grid, cell, 4)
+            seen |= region
+            if len(region) > len(best):
+                best = region
+    return GridMap.from_blocked(size, size, [c for c in cells if c not in best])
+
+
 def _pieces_of(traj):
     return traj.affine_pieces()
 
@@ -373,3 +392,31 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
                 dist[key] = nc
                 heapq.heappush(heap, (nc, nxt, tick + move_ticks))
     return None
+
+
+def parse_trajectory(lines):
+    """Trajectory from ``format_trajectory`` lines (``col row arrival wait``)."""
+    wps = []
+    for line in lines:
+        c, r, arrival, wait = line.split()
+        wps.append(Waypoint((int(c), int(r)), float(arrival), float(wait)))
+    return Trajectory(wps)
+
+
+def parse_csv(text):
+    """Run records from the CLI's results CSV."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != "instance,mode,agents,success,time_s,cost,valid,seed":
+        raise ValueError("unrecognized results CSV header")
+    out = []
+    for ln in lines[1:]:
+        inst, mode, agents, success, time_s, cost, valid, seed = ln.split(",")
+        out.append(
+            RunRecord(
+                inst, mode, int(agents), success == "true", float(time_s),
+                float(cost) if cost else None,
+                None if valid == "" else valid == "true",
+                int(seed),
+            )
+        )
+    return out

@@ -223,7 +223,7 @@ def test_criterion_7_geometry_oracles():
         obstacles = [random_trajectory(rng, size=16, max_moves=3)]
         cell = (rng.randrange(16), rng.randrange(16))
         ivs = build_table(obstacles).safe_intervals_at(cell)
-        t_end = obstacles[0].final_time + 2.0
+        t_end = obstacles[0].cost() + 2.0
         times = np.arange(0.0, t_end, step)
         occ = occupied_mask(cell, obstacles, times)
         safe = np.zeros(len(times), dtype=bool)

@@ -10,12 +10,13 @@ from anysipp.cli import (
     emit_results,
     format_csv,
     main,
-    parse_csv,
     run_benchmark,
     summarize,
 )
 from anysipp.grid import GridMap
 from anysipp.prioritized import generate_instance
+
+from oracles import parse_csv
 
 
 def write_empty_map(path, size=10):
@@ -164,7 +165,7 @@ def test_main_trace_output(tmp_path):
     assert rc == 0
     trace = (tmp_path / "t.trace").read_text().splitlines()
     assert trace
-    assert all(len(line.split()) == 10 for line in trace)
+    assert all(len(line.split()) == 9 for line in trace)
 
 
 def test_main_config_errors(tmp_path):

@@ -126,7 +126,7 @@ def test_safe_intervals_agree_with_sampled_occupancy():
         obstacles = [random_trajectory(rng) for _ in range(rng.randint(1, 2))]
         cell = (rng.randrange(16), rng.randrange(16))
         ivs = build_table(obstacles).safe_intervals_at(cell)
-        t_end = max(ob.final_time for ob in obstacles) + 3.0
+        t_end = max(ob.cost() for ob in obstacles) + 3.0
         times = np.arange(0.0, t_end, step)
         occ = occupied_mask(cell, obstacles, times)
         safe = np.zeros(len(times), dtype=bool)
@@ -297,7 +297,7 @@ def test_windows_match_min_distance_oracle():
         ux, uy = (b[0] - a[0]) / length, (b[1] - a[1]) / length
         ivs = move_windows(a, b, [obstacle])
         for _ in range(20):
-            d = rng.uniform(-3.0, obstacle.final_time + 3.0)
+            d = rng.uniform(-3.0, obstacle.cost() + 3.0)
             dist = _min_dist_affine(a[0], a[1], ux, uy, d, d + length, obstacle)
             t = d + length
             hit = any(lo < t < hi for lo, hi in ivs)

@@ -10,7 +10,6 @@ prints each instance and mode's old and new ``total_cost`` for the record.
 
 import hashlib
 import json
-import random
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -22,27 +21,10 @@ from anysipp.planner import PlannerMode
 from anysipp.prioritized import generate_instance, plan_all
 from anysipp.trajectory import format_trajectory
 
-from oracles import flood_fill
+from oracles import blocked_grid
 
 GOLDEN = Path(__file__).with_name("golden_trajectories.json")
 MODES = {"aa": PlannerMode.anyangle(), "cardinal": PlannerMode.cardinal()}
-
-
-def blocked_grid(size, share, seed):
-    """Seeded random blocks, cut down to the largest 4-connected free region
-    so that every start can reach every goal on the static map."""
-    rng = random.Random(seed)
-    cells = [(c, r) for r in range(size) for c in range(size)]
-    blocked = set(rng.sample(cells, round(share * len(cells))))
-    grid = GridMap.from_blocked(size, size, blocked)
-    best, seen = set(), set()
-    for cell in grid.free_cells():
-        if cell not in seen:
-            region = flood_fill(grid, cell, 4)
-            seen |= region
-            if len(region) > len(best):
-                best = region
-    return GridMap.from_blocked(size, size, [c for c in cells if c not in best])
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from anysipp import planner
-from anysipp.constraints import build_table
+from anysipp.constraints import TOL, build_table
 from anysipp.geometry import swept_cells
 from anysipp.grid import GridMap
 from anysipp.planner import (
@@ -25,13 +25,13 @@ from anysipp.trajectory import Trajectory, Waypoint
 from anysipp.validate import first_conflict
 
 from oracles import (
+    blocked_grid,
     flood_fill,
     make_traj,
     random_trajectory,
     time_expanded_best_cost,
     time_expanded_exact_best_cost,
 )
-from test_golden import blocked_grid
 
 AA = PlannerMode.anyangle()
 CARDINAL = PlannerMode.cardinal()
@@ -89,7 +89,7 @@ def test_cardinal_cost_never_above_exact_tick_oracle():
         obstacle = random_trajectory(rng, size=10)
         start = (rng.randrange(10), rng.randrange(10))
         goal = (rng.randrange(10), rng.randrange(10))
-        if start == goal or goal == obstacle.goal_cell:
+        if start == goal or goal == obstacle.waypoints[-1].cell:
             continue
         cases += 1
         try:
@@ -244,9 +244,9 @@ def test_heuristic_values():
         trace = []
         plan(GridMap.empty(8, 8), [], (0, 0), (3, 4), mode, trace=trace)
         assert trace[0][0] == (0, 0) and trace[0][3] == 0.0
-        assert trace[0][5] == pytest.approx(h)
+        assert trace[0][4] == pytest.approx(h)
         assert trace[-1][0] == (3, 4)
-        assert trace[-1][5] == trace[-1][3]
+        assert trace[-1][4] == trace[-1][3]
 
 
 # ------------------------------------------------------ successor mechanics
@@ -269,7 +269,7 @@ def expand_and_verify(search, state):
 def expand_from(search, cfg, g=0.0, parent=None):
     """Registers a state at cfg in its first safe interval, arriving at time
     g, expands it and verifies its successors; returns the state."""
-    state = SearchState(cfg, 0, search.intervals_at(cfg)[0], g, g, parent)
+    state = SearchState(cfg, 0, search.table.safe_intervals_at(cfg)[0], g, parent)
     search.nodes[(cfg, 0)] = state
     expand_and_verify(search, state)
     return state
@@ -286,7 +286,7 @@ def test_start_state_has_no_shortcut_successors():
     # only the three in-bounds neighbors, each reached directly from the root
     assert sorted(search.nodes) == [((0, 0), 0), ((0, 1), 0), ((1, 0), 0), ((1, 1), 0)]
     assert all(n.parent is root for n in search.nodes.values() if n is not root)
-    assert search.nodes[((1, 1), 0)].time == pytest.approx(math.sqrt(2))
+    assert search.nodes[((1, 1), 0)].g == pytest.approx(math.sqrt(2))
 
 
 def test_successors_per_free_neighbor_without_obstacles():
@@ -297,7 +297,7 @@ def test_successors_per_free_neighbor_without_obstacles():
     for cfg in [(3, 2), (2, 3), (3, 3), (1, 1)]:
         assert generated(search, cfg) == [(cfg, 0)]
         s = search.nodes[(cfg, 0)]
-        assert s.time == pytest.approx(math.hypot(cfg[0] - 2, cfg[1] - 2))
+        assert s.g == pytest.approx(math.hypot(cfg[0] - 2, cfg[1] - 2))
 
 
 def test_shortcut_successor_kept_with_smaller_g():
@@ -325,7 +325,7 @@ def test_parked_obstacle_kills_all_destination_intervals():
     obstacle = make_traj([(3, 0)])
     search = fresh_search(grid, [obstacle], (4, 0))
     expand_from(search, (2, 0))
-    assert search.intervals_at((3, 0)) == ()
+    assert search.table.safe_intervals_at((3, 0)) == ()
     assert generated(search, (3, 0)) == []
     assert generated(search, (1, 0)) == [((1, 0), 0)]
 
@@ -336,14 +336,14 @@ def test_interval_screen_and_push():
     grid = GridMap.empty(12, 12)
     obstacle = make_traj([(5, 10), (5, 0)])  # crosses (5, 5) at t = 5
     search = fresh_search(grid, [obstacle], (11, 5))
-    ivs = search.intervals_at((5, 5))
+    ivs = search.table.safe_intervals_at((5, 5))
     assert len(ivs) == 2
     assert ivs[0] == pytest.approx((0.0, 4.0))
     assert ivs[1].start == pytest.approx(6.0)
-    assert math.isinf(search.intervals_at((4, 5))[0].end)  # perpendicular neighbor is never occupied
+    assert math.isinf(search.table.safe_intervals_at((4, 5))[0].end)  # perpendicular neighbor is never occupied
     expand_from(search, (4, 5), g=4.0)
     assert generated(search, (5, 5)) == [((5, 5), 1)]
-    assert search.nodes[((5, 5), 1)].time >= 6.0 - 1e-9
+    assert search.nodes[((5, 5), 1)].g >= 6.0 - 1e-9
 
 
 def test_blocked_neighbor_generates_nothing():
@@ -353,12 +353,41 @@ def test_blocked_neighbor_generates_nothing():
     assert ((3, 2), 0) not in search.nodes
 
 
+def test_equal_cost_tie_takes_the_more_ancestral_source():
+    # Through mid, (3, 3) arrives one ulp after the straight move from the
+    # root: a tie within TOL. The tie makes the root the parent, so the chain
+    # collapses onto the sight line, and keeps the node's g and open entry.
+    search = fresh_search(GridMap.empty(6, 6), [], (5, 5))
+    iv = search.table.safe_intervals_at((0, 0))[0]
+    root = SearchState((0, 0), 0, iv, 0.0, None)
+    mid = SearchState((1, 1), 0, iv, math.sqrt(2), root)
+    ivs, h = search._record((3, 3))
+    via_mid = mid.g + math.hypot(2, 2)
+    search._arrive(3, 3, 0, ivs[0], h, via_mid, mid)
+    node = search.nodes[((3, 3), 0)]
+    assert node.parent is mid and node.g == via_mid
+    direct = math.hypot(3, 3)
+    assert direct != via_mid and abs(direct - via_mid) < TOL
+    entries = list(search.open)
+    search._arrive(3, 3, 0, ivs[0], h, direct, root)
+    assert node.parent is root
+    assert node.g == via_mid
+    assert search.open == entries
+    # The entry still passes the staleness test of Search.run, so the node
+    # expands, and from its new parent: (4, 4) is the root's shortcut.
+    _, ng, x, y, idx = heappop(search.open)
+    assert search.nodes[((x, y), idx)] is node and node.g == -ng
+    expand_and_verify(search, node)
+    assert search.nodes[((4, 4), 0)].parent is root
+    assert search.nodes[((4, 4), 0)].g == math.hypot(4, 4)
+
+
 # ------------------------------------------------------------ reconstruct
 
 def _chain(cells_times):
     parent = None
     for cell, t in cells_times:
-        parent = SearchState(cell, 0, None, t, t, parent)
+        parent = SearchState(cell, 0, None, t, parent)
     return parent
 
 
@@ -461,25 +490,49 @@ def test_expansion_order_monotone_cardinal():
     obstacles = [make_traj([(5, 11), (5, 0)]), make_traj([(8, 0), (8, 11)])]
     trace = []
     plan(grid, obstacles, (0, 5), (11, 6), CARDINAL, trace=trace)
-    fs = [rec[5] for rec in trace]
+    fs = [rec[4] for rec in trace]
     assert all(b >= a - 1e-9 for a, b in zip(fs, fs[1:]))
+
+
+def _check_traced_search(grid, obstacles, start, goal):
+    """Plans start -> goal through ``Search`` with a trace and checks the
+    trace and the reconstructed trajectory against the state chain; returns
+    the trajectory."""
+    trace = []
+    search = Search(grid, build_table(obstacles), goal, AA, trace=trace)
+    end = search.run(start)
+    traj = reconstruct(end)
+    assert trace
+    for cfg, iv_lo, iv_hi, g, f in trace:
+        assert iv_lo - 1e-9 <= g <= iv_hi + 1e-9
+        assert f == g + math.hypot(goal[0] - cfg[0], goal[1] - cfg[1])
+    assert trace[-1][0] == goal
+    assert trace[-1][3] == traj.cost()
+    chain = []
+    while end is not None:
+        chain.append(end)
+        end = end.parent
+    chain.reverse()
+    assert [wp.cell for wp in traj.waypoints] == [s.cfg for s in chain]
+    assert [wp.arrival for wp in traj.waypoints] == [s.g for s in chain]
+    return traj
 
 
 def test_trace_records_are_consistent_aa():
     # Any-angle shortcut edges materialize as ancestors get expanded, so pop
     # order is only approximately monotone; the trace must still be
-    # self-consistent and end at the goal with the returned cost.
-    grid = GridMap.empty(12, 12)
+    # self-consistent and end at the goal with the returned cost, and each
+    # waypoint must arrive at its state's g. Two settings: obstacles crossing
+    # an empty grid, and agents planned in turn on a 20% blocked grid.
     obstacles = [make_traj([(5, 11), (5, 0)]), make_traj([(8, 0), (8, 11)])]
-    trace = []
-    traj = plan(grid, obstacles, (0, 5), (11, 6), AA, trace=trace)
-    assert trace
-    for cfg, iv_lo, iv_hi, g, t, f in trace:
-        assert iv_lo - 1e-9 <= t <= iv_hi + 1e-9
-        assert f == pytest.approx(g + math.hypot(11 - cfg[0], 6 - cfg[1]), abs=1e-9)
-        assert g == pytest.approx(t, abs=1e-9)
-    assert trace[-1][0] == (11, 6)
-    assert trace[-1][3] == pytest.approx(traj.cost(), abs=1e-9)
+    _check_traced_search(GridMap.empty(12, 12), obstacles, (0, 5), (11, 6))
+    grid = blocked_grid(20, 0.2, seed=5)
+    obstacles = []
+    for start, goal in generate_instance(grid, 12, seed=21, protocol="separated").agents:
+        traj = _check_traced_search(grid, obstacles, start, goal)
+        assert_clear_of(traj, obstacles)
+        obstacles.append(traj)
+    assert any(wp.wait > 0.0 for traj in obstacles for wp in traj.waypoints[:-1])
 
 
 def test_plan_validates_against_many_obstacles():
@@ -532,6 +585,6 @@ def test_far_coordinates_and_late_times_stay_conflict_free():
             for k, (start, goal) in enumerate(agents):
                 traj = plan(grid, obstacles, start, goal, mode)
                 assert_clear_of(traj, obstacles)
-                late += traj.final_time > 1000.0
+                late += traj.cost() > 1000.0
                 obstacles.append(_delayed(traj, rng.uniform(1000.0, 1001.0)) if k < 3 else traj)
     assert late >= 5, late

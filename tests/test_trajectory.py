@@ -4,20 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from anysipp.trajectory import (
-    Trajectory,
-    Waypoint,
-    format_trajectory,
-    parse_trajectory,
-    single_cell_trajectory,
-    solution_cost,
-)
+from anysipp.grid import GridMap
+from anysipp.prioritized import Instance, plan_all
+from anysipp.trajectory import Trajectory, Waypoint, format_trajectory
 
-from oracles import make_traj, random_trajectory, sample_positions
+from oracles import make_traj, parse_trajectory, random_trajectory, sample_positions
 
 
 def test_parked_agent_stays_put():
-    t = single_cell_trajectory((2, 2))
+    t = Trajectory([Waypoint((2, 2), 0.0, math.inf)])
     assert t.position_at(17.0) == (2.0, 2.0)
     assert t.cost() == 0.0
 
@@ -39,10 +34,11 @@ def test_wait_then_move():
 
 
 def test_solution_cost_sums():
-    a = make_traj([(0, 0), (3, 4)])
-    b = make_traj([(0, 0), (2, 0)], waits=[2.0, 0.0])
-    assert solution_cost([a, b]) == pytest.approx(9.0)
-    assert solution_cost([]) == 0.0
+    grid = GridMap.empty(6, 6)
+    sol = plan_all(Instance(grid, [((0, 0), (3, 4)), ((5, 0), (5, 2))]))
+    assert sol.total_cost == sum(t.cost() for t in sol.trajectories)
+    assert sol.total_cost == pytest.approx(7.0)
+    assert plan_all(Instance(grid, [])).total_cost == 0.0
 
 
 def test_cost_equals_final_arrival():
@@ -63,7 +59,7 @@ def test_position_is_continuous_and_unit_lipschitz():
     rng = random.Random(13)
     for _ in range(30):
         t = random_trajectory(rng)
-        times = np.arange(0.0, t.final_time + 2.0, 1e-3)
+        times = np.arange(0.0, t.cost() + 2.0, 1e-3)
         xs, ys = sample_positions(t, times)
         step = np.hypot(np.diff(xs), np.diff(ys))
         assert step.max() <= 1e-3 + 1e-9
@@ -73,7 +69,7 @@ def test_sample_positions_matches_position_at():
     rng = random.Random(29)
     for _ in range(20):
         t = random_trajectory(rng)
-        times = np.array(sorted(rng.uniform(0, t.final_time + 3) for _ in range(40)))
+        times = np.array(sorted(rng.uniform(0, t.cost() + 3) for _ in range(40)))
         xs, ys = sample_positions(t, times)
         for k, tau in enumerate(times):
             px, py = t.position_at(float(tau))

@@ -72,7 +72,7 @@ def test_analytic_matches_dense_sampling():
     while pairs < 1000:
         t1 = random_trajectory(rng, size=10, max_moves=4)
         t2 = random_trajectory(rng, size=10, max_moves=4)
-        t_end = max(t1.final_time, t2.final_time) + 1.5
+        t_end = max(t1.cost(), t2.cost()) + 1.5
         analytic = first_conflict(t1, t2)
         sampled = first_sampled_conflict(t1, t2, t_end, step=1e-4)
         if analytic is None:
@@ -127,7 +127,7 @@ def _random_solution(rng, n, size=12):
     # rejects; validate_solution reads only the grid and the agents.
     inst = SimpleNamespace(
         grid=GridMap.empty(size, size),
-        agents=[(t.start_cell, t.goal_cell) for t in trajs],
+        agents=[(t.waypoints[0].cell, t.waypoints[-1].cell) for t in trajs],
     )
     return inst, trajs
 
