@@ -19,6 +19,16 @@ shortcut from the expanded state's parent wherever the parent reaches the
 interval, else the step from the expanded state. A shortcut candidate carries
 the expanded state as its fallback, whose own candidate is pushed only when
 the shortcut's pops, and only if the shortcut has not beaten it by then.
+
+No trajectory reaches the goal for good before B = max(h(start), T), where
+T is the start of the goal's last safe interval, the one unbounded above. So
+an arrival there at B is optimal, and the search ends as soon as it verifies
+one. In any-angle mode it first tries the straight move from the start,
+departing any time the start's interval allows; a neighbour step counts only
+if the map's successor table holds it, since its corners are checked there.
+In both modes a candidate into that interval whose lower bound is at most B
+is verified when it is generated rather than when it is popped, and ends the
+search if its true arrival is at most B.
 """
 
 from __future__ import annotations
@@ -113,6 +123,9 @@ class Search:
     move is verified by :meth:`_verify` when popped. Equal candidate keys pop
     the more ancestral source first. ``fallback`` is None, or for a shortcut
     from src the expanded state whose own candidate waits on this one.
+
+    ``bound`` is the bound B of the module docstring (-inf while the goal has
+    no unbounded interval), and ``reached`` the goal state verified at it.
     """
 
     def __init__(
@@ -137,6 +150,8 @@ class Search:
         self._cols = {}
         self._seq = 0
         self.expansions = 0
+        self.bound = -INF
+        self.reached: Optional[SearchState] = None
 
     # -- geometry/constraint lookups, cached per search --------------------
 
@@ -202,12 +217,34 @@ class Search:
         if lo > src.interval.end + m_time or hi < start_t:
             return False
         g = start_t if start_t >= lo else lo
+        if not h and g <= self.bound and hi == INF and self._at_bound(x, y, idx, iv, src):
+            return True
         node = self.nodes.get(((x, y), idx))
         if (node is None or g < node.g - TOL
                 or (g < node.g + TOL and node.parent is not None and src.g < node.parent.g - TOL)):
             self._seq += 1
             heappush(self.open, (g + h, -g, x, y, idx, src.g, self._seq, src, fallback))
         return True
+
+    def _at_bound(self, x, y, idx, iv, src: SearchState) -> bool:
+        """Verifies the move from src into the goal's last interval idx now,
+        and keeps the goal state as :attr:`reached` if it arrives by the
+        bound."""
+        g = self._arrival((x, y), iv, src)
+        if g is None or g > self.bound:
+            return False
+        self.reached = SearchState((x, y), idx, iv, g, src)
+        return True
+
+    def _arrival(self, cfg, iv, src: SearchState) -> Optional[float]:
+        """The true arrival in interval iv of cfg by the move from src, with
+        the move's collision windows applied; None if the move is blocked or
+        misses the interval."""
+        cols = self._cols_for(src.cfg, cfg)
+        if cols is None:
+            return None
+        m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
+        return earliest_arrival(cols, src.g + m_time, src.interval.end + m_time, iv)
 
     def _verify(self, candidate) -> None:
         """Checks a popped candidate's move through :meth:`_cols_for` and
@@ -228,11 +265,7 @@ class Search:
         key = (cfg, idx)
         if self._beaten(key, g, src):
             return
-        cols = self._cols_for(src.cfg, cfg)
-        if cols is None:
-            return
-        m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
-        g = earliest_arrival(cols, src.g + m_time, src.interval.end + m_time, iv)
+        g = self._arrival(cfg, iv, src)
         if g is None or self._beaten(key, g, src):
             return
         node = self.nodes.get(key)
@@ -278,8 +311,19 @@ class Search:
             raise StartUnsafe(f"start {start} is in collision at time 0")
         root = SearchState(start, 0, ivs[0], 0.0, None)
         self.nodes[(start, 0)] = root
-        heappush(self.open, (h, 0.0, start[0], start[1], 0))
         goal = self.goal
+        goal_ivs, _ = self._record(goal)
+        if goal_ivs and goal_ivs[-1].end == INF:
+            last = len(goal_ivs) - 1
+            self.bound = max(h, goal_ivs[last].start)
+            dx, dy = goal[0] - start[0], goal[1] - start[1]
+            if (self.mode.any_angle
+                    and (abs(dx) > 1 or abs(dy) > 1 or goal in self._next[start])
+                    and self._at_bound(goal[0], goal[1], last, goal_ivs[last], root)):
+                self._log(root)
+                self._log(self.reached)
+                return self.reached
+        heappush(self.open, (h, 0.0, start[0], start[1], 0))
         pops = 0
         while self.open:
             entry = heappop(self.open)
@@ -288,20 +332,28 @@ class Search:
                 raise PlanTimeout("search deadline exceeded")
             if len(entry) > 5:
                 self._verify(entry)
-                continue
-            _, ng, cx, cy, idx = entry
-            key = ((cx, cy), idx)
-            node = self.nodes.get(key)
-            if node is None or node.g != -ng:
-                continue
-            if self.trace is not None:
-                self.trace.append((node.cfg, node.interval.start, node.interval.end,
-                                   node.g, node.g + self._cells[node.cfg][1]))
-            if (cx, cy) == goal and math.isinf(node.interval.end):
-                return node
-            self.expansions += 1
-            self.expand(node)
+            else:
+                _, ng, cx, cy, idx = entry
+                key = ((cx, cy), idx)
+                node = self.nodes.get(key)
+                if node is None or node.g != -ng:
+                    continue
+                if self.trace is not None:
+                    self._log(node)
+                if (cx, cy) == goal and math.isinf(node.interval.end):
+                    return node
+                self.expansions += 1
+                self.expand(node)
+            if self.reached is not None:
+                self._log(self.reached)
+                return self.reached
         raise GoalUnreachable(f"goal {goal} cannot be reached conflict-free")
+
+    def _log(self, node: SearchState) -> None:
+        """Appends node's record to the trace, if there is one."""
+        if self.trace is not None:
+            self.trace.append((node.cfg, node.interval.start, node.interval.end,
+                               node.g, node.g + self._cells[node.cfg][1]))
 
 
 def reconstruct(goal_state: SearchState) -> Trajectory:

@@ -138,8 +138,11 @@ def test_timeout_raises_during_the_search(monkeypatch):
     # The clock passes the deadline only after the search has started. The
     # search reads it every 128 heap pops, candidates included; this search
     # expands fewer than 128 states, so only the candidate pops reach 128.
+    # An obstacle parked on the diagonal keeps the straight line from ending
+    # the search before its loop.
     grid = GridMap.empty(100, 100)
-    probe = Search(grid, build_table([]), (99, 99), AA)
+    parked = [make_traj([(10, 10)])]
+    probe = Search(grid, build_table(parked), (99, 99), AA)
     probe.run((0, 0))
     assert probe.expansions < 128
     reads = []
@@ -150,7 +153,7 @@ def test_timeout_raises_during_the_search(monkeypatch):
 
     monkeypatch.setattr(planner, "_time", SimpleNamespace(monotonic=monotonic))
     with pytest.raises(PlanTimeout, match="search deadline"):
-        plan(grid, [], (0, 0), (99, 99), AA, deadline=1.0)
+        plan(grid, parked, (0, 0), (99, 99), AA, deadline=1.0)
 
 
 def test_move_windows_are_built_lazily(monkeypatch):
@@ -247,6 +250,56 @@ def test_heuristic_values():
         assert trace[0][4] == pytest.approx(h)
         assert trace[-1][0] == (3, 4)
         assert trace[-1][4] == trace[-1][3]
+
+
+# ------------------------------------------------------------- bound exit
+
+def test_free_straight_line_ends_before_any_expansion():
+    search = Search(GridMap.empty(16, 16), build_table([]), (12, 5), AA)
+    traj = reconstruct(search.run((1, 1)))
+    assert search.expansions == 0
+    assert [wp.cell for wp in traj.waypoints] == [(1, 1), (12, 5)]
+    assert traj.waypoints[-1].arrival == math.hypot(11, 4)
+
+
+def test_late_goal_waits_at_the_start_and_arrives_at_its_free_time():
+    # The obstacle crosses the goal at about t = 20, long after the agent
+    # could be there; the straight line, left late, arrives just as the goal
+    # frees for good.
+    obstacle = make_traj([(6, 7), (30, 30)])
+    table = build_table([obstacle])
+    free_from = table.safe_intervals_at((20, 20))[-1].start
+    assert 19.0 < free_from < 21.0
+    search = Search(GridMap.empty(32, 32), table, (20, 20), AA)
+    traj = reconstruct(search.run((16, 14)))
+    assert search.expansions == 0
+    assert [wp.cell for wp in traj.waypoints] == [(16, 14), (20, 20)]
+    assert traj.waypoints[0].wait > 10.0
+    assert traj.waypoints[-1].arrival == free_from
+    assert_clear_of(traj, [obstacle])
+
+
+def test_straight_line_does_not_cut_a_blocked_corner():
+    # (0, 0) -> (1, 1) is one diagonal step, but both cells beside it are
+    # blocked; the straight move must not slip through the corner.
+    grid = GridMap.from_blocked(4, 4, [(1, 0), (0, 1)])
+    with pytest.raises(GoalUnreachable):
+        plan(grid, [], (0, 0), (1, 1), AA)
+
+
+def test_cardinal_late_goal_ends_at_the_bound():
+    # The goal frees for good at T, above the Manhattan distance, so no plan
+    # arrives before T: the first candidate verified to arrive there ends the
+    # search.
+    obstacle = make_traj([(0, 21), (30, 20)])
+    table = build_table([obstacle])
+    free_from = table.safe_intervals_at((20, 20))[-1].start
+    assert free_from > 6.0
+    search = Search(GridMap.empty(32, 32), table, (20, 20), CARDINAL)
+    end = search.run((20, 14))
+    assert end is search.reached
+    assert end.g == search.bound == free_from
+    assert_clear_of(reconstruct(end), [obstacle])
 
 
 # ------------------------------------------------------ successor mechanics
