@@ -232,6 +232,8 @@ def _config_from_args(args) -> BenchConfig:
     map_stem = Path(args.map).stem
     modes = list(MODE_NAMES) if args.mode == "both" else [args.mode]
     instances: List[Tuple[str, int, Instance]] = []
+    if args.agents is not None and args.agents < 1:
+        raise InstanceError(f"--agents must be at least 1, got {args.agents}")
     if args.scen:
         inst = load_agents(Path(args.scen).read_text(), grid, max_agents=args.agents)
         instances.append((Path(args.scen).stem, args.seed, inst))

@@ -2,7 +2,8 @@
 
 The table keeps one model of the obstacle trajectories, their affine pieces
 (see ``Trajectory.affine_pieces``) indexed by the cells they sweep, and
-offers two exact views of it:
+offers two exact views of it. Both test one conflict, a squared center
+distance below ``_WINDOW_R2``, by the chord a line cuts from that disk:
 
 * per-cell *safe intervals*, the time windows during which an agent parked at
   a cell center keeps its center at least one diameter from every obstacle
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .geometry import Cell, circle_segment_intersections, swept_cells
+from .geometry import Cell, swept_cells
 from .trajectory import Trajectory
 
 TOL = 1e-9
@@ -36,16 +37,16 @@ INF = math.inf
 
 # Obstacles are disks of radius 0.5, so centers conflict within 1.0.
 # piece_near screens at twice that, which keeps it sound with room to spare.
-CONFLICT_DIST = 1.0
 RELEVANCE_DIST = 2.0
 # piece_near errs on the near side by this much, so that rounding can never
 # hide a piece that could meet the move.
 SCREEN_SLACK = 1e-6
-# Move windows are computed for a disk of squared radius 1 - TOL, a hair
-# inside the diameter: touches at exactly one diameter, which the grid makes
-# common, stay outside it despite rounding, while every distance the
-# validator calls a conflict (below 1 - 1e-9) stays inside.
-_WINDOW_R2 = CONFLICT_DIST * CONFLICT_DIST - TOL
+# Safe intervals and move windows are both computed for a disk of squared
+# radius 1 - TOL, a hair inside the diameter: touches at exactly one
+# diameter, which the grid makes common, stay outside it despite rounding,
+# while every distance the validator calls a conflict (below 1 - 1e-9) stays
+# inside.
+_WINDOW_R2 = 1.0 - TOL
 
 
 class TimeInterval(NamedTuple):
@@ -159,28 +160,31 @@ def build_table(obstacles: Sequence[Trajectory]) -> ConstraintTable:
 
 
 def _piece_windows(cx: float, cy: float, pieces) -> List[Tuple[float, float]]:
-    """Exact time windows during which a piece keeps the obstacle center
-    strictly within one diameter of (cx, cy). A wait is a zero-length piece:
-    no crossing, so it is inside for its whole span or not at all."""
+    """Time windows during which a piece p + w*v keeps the obstacle center in
+    conflict with c = (cx, cy), |c - p - w*v|^2 < _WINDOW_R2: one chord of w,
+    solved as on the s = 0 edge of _departure_window and cut to the piece's
+    span. A wait or the terminal stay is inside for its whole span or not at
+    all."""
+    r2 = _WINDOW_R2
     windows = []
-    for depart, arrive, ax, ay, _, _, bx, by in pieces:
-        hits = circle_segment_intersections((cx, cy), CONFLICT_DIST, (ax, ay), (bx, by))
-        a_in = math.hypot(ax - cx, ay - cy) < CONFLICT_DIST - TOL
-        b_in = math.hypot(bx - cx, by - cy) < CONFLICT_DIST - TOL
-        if len(hits) == 2:
-            lo, hi = depart + hits[0][1], depart + hits[1][1]
-        elif len(hits) == 1:
-            s = hits[0][1]
-            if a_in:
-                lo, hi = depart, depart + s
-            elif b_in:
-                lo, hi = depart + s, arrive
-            else:
-                continue  # tangency, measure zero
-        elif a_in:
-            lo, hi = depart, arrive
+    for t0, t1, px, py, vx, vy, _, _ in pieces:
+        rx, ry = cx - px, cy - py
+        if vx == 0.0 and vy == 0.0:
+            if rx * rx + ry * ry >= r2:
+                continue
+            lo, hi = t0, t1
         else:
-            continue
+            vv = vx * vx + vy * vy
+            h = rx * vy - ry * vx
+            disc = vv * r2 - h * h
+            if disc <= 0.0:
+                continue
+            root = math.sqrt(disc)
+            mid = rx * vx + ry * vy
+            w = (mid - root) / vv
+            lo = t0 + w if w > 0.0 else t0
+            w = (mid + root) / vv
+            hi = t0 + w if w < t1 - t0 else t1
         if hi - lo > TOL:
             windows.append((lo, hi))
     return windows

@@ -8,9 +8,8 @@ radius is grazed, not entered. Cell (c, r) is centered at the integer point
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 AGENT_RADIUS = 0.5
 # Distances within this band of a threshold count as an exact touch.
@@ -43,22 +42,7 @@ def swept_cells(a, b) -> Tuple[Cell, ...]:
     return tuple([(ax + x, ay + y) for x, y in _swept_cached(pb[0] - ax, pb[1] - ay)])
 
 
-def _sweep(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
-    dx, dy = bx - ax, by - ay
-    if dx == 0 and dy == 0:
-        return ((ax, ay),)
-    if dy == 0:
-        lo, hi = (ax, bx) if ax <= bx else (bx, ax)
-        return tuple((x, ay) for x in range(lo, hi + 1))
-    if dx == 0:
-        lo, hi = (ay, by) if ay <= by else (by, ay)
-        return tuple((ax, y) for y in range(lo, hi + 1))
-    if abs(dx) == abs(dy):
-        return _swept_diagonal(ax, ay, bx, by)
-    return _swept_general(ax, ay, bx, by)
-
-
-# The swept set is translation invariant: every test in the sweeps depends
+# The swept set is translation invariant: every test in the sweep depends
 # only on the displacement, so one entry per (dx, dy) serves every move with
 # that displacement, and a map of side n has at most 2n^2 of them. The
 # entries hold cell offsets from the smaller end point; the offset pairs are
@@ -73,27 +57,15 @@ def _swept_cached(dx: int, dy: int) -> Tuple[Cell, ...]:
     return tuple([intern(c, c) for c in _sweep(0, 0, dx, dy)])
 
 
-def _swept_diagonal(ax, ay, bx, by) -> Tuple[Cell, ...]:
-    # The segment runs corner to corner, so each crossed corner drags in the
-    # two off-diagonal cells that share it.
-    sx = 1 if bx > ax else -1
-    sy = 1 if by > ay else -1
-    cells = []
-    for k in range(abs(bx - ax)):
-        x, y = ax + k * sx, ay + k * sy
-        cells += [(x, y), (x + sx, y), (x, y + sy)]
-    cells.append((bx, by))
-    cells.sort()
-    return tuple(cells)
-
-
-def _swept_general(ax, ay, bx, by) -> Tuple[Cell, ...]:
+def _sweep(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
+    if ax == bx and ay == by:
+        return ((ax, ay),)
     steep = abs(by - ay) > abs(bx - ax)
     if steep:
         ax, ay, bx, by = ay, ax, by, bx
     if ax > bx:
         ax, ay, bx, by = bx, by, ax, ay
-    # 0 < |dy| < dx from here on. Work in doubled coordinates so that cell
+    # 0 <= |dy| <= dx from here on. Work in doubled coordinates so that cell
     # edges and corners are integers and every test below is exact.
     dx, dy = bx - ax, by - ay
     den = dx * dx + dy * dy
@@ -137,41 +109,3 @@ def _corner_near(x, y2, ax, ay, dx, dy, den, hit) -> bool:
         if cross * cross < hit and 0 <= dx * px + dy * py <= 2 * den:
             return True
     return False
-
-
-def circle_segment_intersections(center, radius, a, b) -> List[Tuple[Point, float]]:
-    """Points where the circle boundary crosses segment a-b.
-
-    Returns (point, arclength-from-a) pairs sorted by arclength. A tangency
-    yields a single point; a segment strictly inside the circle yields
-    nothing, so callers interested in containment must test the endpoints
-    themselves.
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    ax, ay = a
-    bx, by = b
-    seg_len = math.hypot(bx - ax, by - ay)
-    if seg_len == 0.0:
-        on_circle = abs(math.hypot(ax - center[0], ay - center[1]) - radius) <= GEOM_TOL
-        return [((float(ax), float(ay)), 0.0)] if on_circle else []
-    ux, uy = (bx - ax) / seg_len, (by - ay) / seg_len
-    mx, my = center[0] - ax, center[1] - ay
-    proj = mx * ux + my * uy
-    perp2 = mx * mx + my * my - proj * proj
-    if perp2 < 0.0:
-        perp2 = 0.0
-    disc = radius * radius - perp2
-    if disc < -1e-12:
-        return []
-    if disc <= 1e-12:
-        roots = [proj]
-    else:
-        half = math.sqrt(disc)
-        roots = [proj - half, proj + half]
-    out = []
-    for s in roots:
-        if -GEOM_TOL <= s <= seg_len + GEOM_TOL:
-            s = min(max(s, 0.0), seg_len)
-            out.append(((ax + s * ux, ay + s * uy), s))
-    return out

@@ -192,6 +192,8 @@ def generate_instance(
     is the endpoint of a cardinal random walk from its start, re-walked on
     goal collisions.
     """
+    if n < 0:
+        raise GenerationError(f"{n} agents requested")
     rng = random.Random(seed)
     free = grid.free_cells()
     if protocol == "separated":
@@ -243,6 +245,8 @@ def generate_instance(
 def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> Instance:
     """Parse either the ``agents N`` instance format or a benchmark scenario
     file (header ``version ...``); agents keep file order (FIFO priority)."""
+    if max_agents is not None and max_agents < 0:
+        raise InstanceError(f"{max_agents} agents requested")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InstanceError("empty instance file")
@@ -253,6 +257,8 @@ def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> I
             count = int(head[1])
         except (IndexError, ValueError):
             raise InstanceError("expected 'agents N' header") from None
+        if count < 0:
+            raise InstanceError(f"header declares {count} agents")
         if len(lines) - 1 < count:
             raise InstanceError(f"header declares {count} agents, found {len(lines) - 1}")
         for ln in lines[1 : 1 + count]:

@@ -187,6 +187,22 @@ def test_main_config_errors(tmp_path):
               "--mode", "warp"])
 
 
+@pytest.mark.parametrize("source, agents", [
+    ("scen", "-1"), ("scen", "0"), ("generate", "-2"), ("generate", "0"), ("header", None),
+])
+def test_main_rejects_agent_counts_below_one(tmp_path, capsys, source, agents):
+    map_path = write_empty_map(tmp_path / "m.map")
+    scen = tmp_path / "s3.txt"
+    scen.write_text("agents -1\n" if source == "header"
+                    else "agents 3\n0 0 9 9\n9 0 0 9\n0 9 9 0\n")
+    argv = ["--map", str(map_path), "--mode", "aa"]
+    argv += ["--generate", "separated"] if source == "generate" else ["--scen", str(scen)]
+    argv += [] if agents is None else ["--agents", agents]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "agents" in err
+
+
 def test_summarize_common_restriction():
     recs = [
         RunRecord("a", "aa", 2, True, 0.1, 10.0, True, 1),

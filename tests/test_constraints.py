@@ -119,6 +119,32 @@ def test_safe_intervals_parked_obstacle_blocks_forever():
     assert build_table([make_traj([(3, 3)])]).safe_intervals_at((4, 3)) == (TimeInterval(0.0, INF),)
 
 
+def test_safe_intervals_are_clear_and_tight():
+    # Inside each interval every obstacle keeps its center at least one
+    # diameter (less 1e-9) away, and no finite end point can be pushed 1e-6
+    # further without some obstacle coming within one diameter.
+    rng = random.Random(4242)
+    push = 1e-6
+    bounds = 0
+    for _ in range(60):
+        obstacles = [random_trajectory(rng, size=8) for _ in range(rng.randint(1, 3))]
+        table = build_table(obstacles)
+        for cell in ((x, y) for x in range(8) for y in range(8)):
+            def closest(t0, t1):
+                return min(_min_dist_affine(*cell, 0.0, 0.0, t0, t1, ob) for ob in obstacles)
+
+            for lo, hi in table.safe_intervals_at(cell):
+                assert lo < hi
+                assert closest(lo, hi) >= 1.0 - 1e-9, (cell, lo, hi)
+                if lo > 0.0:
+                    assert closest(lo - push, lo) < 1.0, (cell, lo)
+                    bounds += 1
+                if math.isfinite(hi):
+                    assert closest(hi, hi + push) < 1.0, (cell, hi)
+                    bounds += 1
+    assert bounds > 500
+
+
 def test_safe_intervals_agree_with_sampled_occupancy():
     rng = random.Random(990)
     step = 1e-3

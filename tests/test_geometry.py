@@ -1,10 +1,9 @@
-import math
 import random
 
 import pytest
 
 from anysipp import geometry
-from anysipp.geometry import circle_segment_intersections, swept_cells
+from anysipp.geometry import swept_cells
 
 from oracles import _point_seg_dist, sampled_swept_cells, seg_box_distance
 
@@ -54,6 +53,10 @@ def test_sweep_matches_sampling_oracle():
     for _ in range(300):
         a, b = _random_segment(rng)
         check_sweep_against_oracle(a, b)
+    # Every short displacement, the axis, diagonal and zero ones included.
+    for dx in range(-10, 11):
+        for dy in range(-10, 11):
+            check_sweep_against_oracle((0, 0), (dx, dy))
 
 
 def test_sweep_symmetry_and_endpoints_and_size():
@@ -93,42 +96,3 @@ def test_dist_examples():
     assert _point_seg_dist(0, 1, -1, 0, 1, 0) == pytest.approx(1.0)
     assert _point_seg_dist(3, 0, 0, 0, 1, 0) == pytest.approx(2.0)
     assert _point_seg_dist(1, 1, 0, 0, 2, 2) == pytest.approx(0.0)
-
-
-def test_circle_crossing_chord():
-    hits = circle_segment_intersections((0, 0), 1.0, (-5, 0), (5, 0))
-    assert len(hits) == 2
-    (p1, s1), (p2, s2) = hits
-    assert p1 == pytest.approx((-1.0, 0.0))
-    assert s1 == pytest.approx(4.0)
-    assert p2 == pytest.approx((1.0, 0.0))
-    assert s2 == pytest.approx(6.0)
-
-
-def test_circle_miss_and_tangent():
-    assert circle_segment_intersections((0, 0), 1.0, (2, 2), (3, 3)) == []
-    hits = circle_segment_intersections((0, 0), 1.0, (-5, 1), (5, 1))
-    assert len(hits) == 1
-    assert hits[0][0] == pytest.approx((0.0, 1.0))
-    assert hits[0][1] == pytest.approx(5.0)
-
-
-def test_circle_segment_inside_returns_nothing():
-    assert circle_segment_intersections((0, 0), 5.0, (-1, 0), (1, 0)) == []
-
-
-def test_circle_intersections_lie_on_circle_and_segment():
-    rng = random.Random(5150)
-    for _ in range(400):
-        c = (rng.uniform(-5, 5), rng.uniform(-5, 5))
-        r = rng.uniform(0.2, 4.0)
-        a = (rng.randrange(-6, 7), rng.randrange(-6, 7))
-        b = (rng.randrange(-6, 7), rng.randrange(-6, 7))
-        prev = -1.0
-        for (q, s) in circle_segment_intersections(c, r, a, b):
-            assert abs(math.hypot(q[0] - c[0], q[1] - c[1]) - r) < 1e-9
-            assert _point_seg_dist(*q, *a, *b) < 1e-9
-            assert s > prev - 1e-12
-            prev = s
-            seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
-            assert -1e-9 <= s <= seg_len + 1e-9

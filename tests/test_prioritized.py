@@ -145,6 +145,9 @@ def test_generation_capacity_errors():
         generate_instance(grid, 4, seed=0, protocol="separated")  # density too high
     with pytest.raises(GenerationError):
         generate_instance(grid, 10, seed=0, protocol="walk")
+    for protocol in ("separated", "walk"):
+        with pytest.raises(GenerationError):
+            generate_instance(grid, -1, seed=0, protocol=protocol)
 
 
 def test_walk_goals_are_distinct_and_reachable_cells():
@@ -186,6 +189,10 @@ def test_load_agents_rejects_garbage():
         load_agents("bogus\n", grid)
     with pytest.raises(InstanceError):
         load_agents("", grid)
+    with pytest.raises(InstanceError):
+        load_agents("agents -1\n", grid)
+    with pytest.raises(InstanceError):
+        load_agents("agents 1\n0 0 3 3\n", grid, max_agents=-1)
 
 
 # --------------------------------------------------- multi-agent soundness
