@@ -234,6 +234,9 @@ def _config_from_args(args) -> BenchConfig:
     instances: List[Tuple[str, int, Instance]] = []
     if args.agents is not None and args.agents < 1:
         raise InstanceError(f"--agents must be at least 1, got {args.agents}")
+    for flag, value in (("--instances", args.instances), ("--workers", args.workers)):
+        if value < 1:
+            raise InstanceError(f"{flag} must be at least 1, got {value}")
     if args.scen:
         inst = load_agents(Path(args.scen).read_text(), grid, max_agents=args.agents)
         instances.append((Path(args.scen).stem, args.seed, inst))
@@ -265,7 +268,7 @@ def _config_from_args(args) -> BenchConfig:
         validate=args.validate,
         dump_trajectories=args.dump_trajectories,
         collect_traces=args.trace,
-        workers=max(1, args.workers),
+        workers=args.workers,
     )
 
 

@@ -77,21 +77,40 @@ class Trajectory:
         """Maximal (t0, t1, x0, y0, vx, vy, x1, y1) pieces covering [0, inf):
         position (x0, y0) + (t - t0) * (vx, vy) on [t0, t1], ending at
         (x1, y1). A wait or the terminal stay has zero velocity and ends
-        where it starts; the terminal stay's t1 is inf."""
+        where it starts; the terminal stay's t1 is inf.
+
+        Maximal means that a move piece runs on over every waypoint where
+        the agent neither waits nor turns: one piece covers each straight
+        run of segments that point the same way, so a cardinal path of k
+        collinear cells is one piece, not k. No two consecutive move pieces
+        point the same way, and a wait or a turn always starts a new one."""
         pieces = []
         wps = self.waypoints
-        for i, wp in enumerate(wps):
+        last = len(wps) - 1
+        i = 0
+        while i < last:
+            wp = wps[i]
             x, y = float(wp.cell[0]), float(wp.cell[1])
-            if i == len(wps) - 1:
-                pieces.append((wp.arrival, math.inf, x, y, 0.0, 0.0, x, y))
-                break
             depart = wp.arrival + wp.wait
             if wp.wait > 0.0:
                 pieces.append((wp.arrival, depart, x, y, 0.0, 0.0, x, y))
-            nxt = wps[i + 1]
-            bx, by = float(nxt.cell[0]), float(nxt.cell[1])
-            dur = nxt.arrival - depart
-            pieces.append((depart, nxt.arrival, x, y, (bx - x) / dur, (by - y) / dur, bx, by))
+            # Run on while the next segment points the same way (cells are
+            # integers, so the cross and dot products are exact).
+            j = i + 1
+            dx, dy = wps[j].cell[0] - wp.cell[0], wps[j].cell[1] - wp.cell[1]
+            while j < last and wps[j].wait == 0.0:
+                (cx, cy), (nx, ny) = wps[j].cell, wps[j + 1].cell
+                if dx * (ny - cy) != dy * (nx - cx) or dx * (nx - cx) + dy * (ny - cy) <= 0:
+                    break
+                j += 1
+            end = wps[j]
+            bx, by = float(end.cell[0]), float(end.cell[1])
+            dur = end.arrival - depart
+            pieces.append((depart, end.arrival, x, y, (bx - x) / dur, (by - y) / dur, bx, by))
+            i = j
+        wp = wps[last]
+        x, y = float(wp.cell[0]), float(wp.cell[1])
+        pieces.append((wp.arrival, math.inf, x, y, 0.0, 0.0, x, y))
         return pieces
 
     @cached_property

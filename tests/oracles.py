@@ -135,9 +135,28 @@ def seg_box_distance(a, b, cell):
     )
 
 
+def segment_pieces(traj):
+    """One (t0, t1, x0, y0, vx, vy, x1, y1) piece per wait, per waypoint
+    segment and for the terminal stay, built straight from the waypoints, so
+    that the oracles do not share ``Trajectory.affine_pieces``."""
+    pieces = []
+    wps = traj.waypoints
+    for wp, nxt in zip(wps, wps[1:]):
+        x, y = float(wp.cell[0]), float(wp.cell[1])
+        depart = wp.arrival + wp.wait
+        if wp.wait > 0.0:
+            pieces.append((wp.arrival, depart, x, y, 0.0, 0.0, x, y))
+        bx, by = float(nxt.cell[0]), float(nxt.cell[1])
+        dur = nxt.arrival - depart
+        pieces.append((depart, nxt.arrival, x, y, (bx - x) / dur, (by - y) / dur, bx, by))
+    x, y = float(wps[-1].cell[0]), float(wps[-1].cell[1])
+    pieces.append((wps[-1].arrival, math.inf, x, y, 0.0, 0.0, x, y))
+    return pieces
+
+
 def sample_positions(traj, times):
     """Vectorized position lookup over a sorted array of query times."""
-    pieces = traj.affine_pieces()
+    pieces = segment_pieces(traj)
     starts = np.array([p[0] for p in pieces])
     x0 = np.array([p[2] for p in pieces])
     y0 = np.array([p[3] for p in pieces])
@@ -218,15 +237,11 @@ def blocked_grid(size, share, seed):
     return GridMap.from_blocked(size, size, [c for c in cells if c not in best])
 
 
-def _pieces_of(traj):
-    return traj.affine_pieces()
-
-
 def _min_dist_affine(x, y, vx, vy, t0, t1, traj):
     """Minimum center distance between a probe moving affinely on [t0, t1]
     and a trajectory, evaluated per overlapping piece in closed form."""
     best = math.inf
-    for q0, q1, ox, oy, ovx, ovy, _, _ in _pieces_of(traj):
+    for q0, q1, ox, oy, ovx, ovy, _, _ in segment_pieces(traj):
         lo = max(t0, q0)
         hi = min(t1, q1)
         if hi < lo:

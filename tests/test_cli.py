@@ -203,6 +203,18 @@ def test_main_rejects_agent_counts_below_one(tmp_path, capsys, source, agents):
     assert out == "" and "agents" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--instances", "-2"), ("--instances", "0"), ("--workers", "-3"), ("--workers", "0"),
+])
+def test_main_rejects_instance_and_worker_counts_below_one(tmp_path, capsys, flag, value):
+    map_path = write_empty_map(tmp_path / "m.map")
+    argv = ["--map", str(map_path), "--generate", "separated", "--agents", "1",
+            "--mode", "aa", flag, value]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
+
+
 def test_summarize_common_restriction():
     recs = [
         RunRecord("a", "aa", 2, True, 0.1, 10.0, True, 1),

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from anysipp.grid import GridMap
 from anysipp.prioritized import Instance, plan_all
 from anysipp.trajectory import Trajectory, Waypoint, format_trajectory
 
-from oracles import make_traj, parse_trajectory, random_trajectory, sample_positions
+from oracles import (
+    make_traj, parse_trajectory, random_trajectory, sample_positions, segment_pieces,
+)
 
 
 def test_parked_agent_stays_put():
@@ -74,6 +77,99 @@ def test_sample_positions_matches_position_at():
         for k, tau in enumerate(times):
             px, py = t.position_at(float(tau))
             assert (px, py) == pytest.approx((xs[k], ys[k]), abs=1e-9)
+
+
+# ------------------------------------------------------ maximal pieces
+
+INF = math.inf
+
+
+def test_straight_cardinal_run_is_one_piece():
+    k = 7
+    t = make_traj([(3 + i, 2) for i in range(k + 1)])
+    assert t.affine_pieces() == [
+        (0.0, float(k), 3.0, 2.0, 1.0, 0.0, 3.0 + k, 2.0),
+        (float(k), INF, 3.0 + k, 2.0, 0.0, 0.0, 3.0 + k, 2.0),
+    ]
+    assert len(segment_pieces(t)) == k + 1
+
+
+def test_wait_mid_run_splits_the_run():
+    t = make_traj([(0, 0), (1, 0), (2, 0), (3, 0)], waits=[0.0, 1.5, 0.0, 0.0])
+    assert t.affine_pieces() == [
+        (0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0),
+        (1.0, 2.5, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+        (2.5, 4.5, 1.0, 0.0, 1.0, 0.0, 3.0, 0.0),
+        (4.5, INF, 3.0, 0.0, 0.0, 0.0, 3.0, 0.0),
+    ]
+
+
+def test_turn_and_reversal_split_the_run():
+    turn = make_traj([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)])
+    assert turn.affine_pieces() == [
+        (0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0),
+        (2.0, 4.0, 2.0, 0.0, 0.0, 1.0, 2.0, 2.0),
+        (4.0, INF, 2.0, 2.0, 0.0, 0.0, 2.0, 2.0),
+    ]
+    # A -> B -> A: collinear, but the second segment points back.
+    back = make_traj([(0, 0), (1, 0), (2, 0), (1, 0), (0, 0)])
+    assert back.affine_pieces() == [
+        (0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0),
+        (2.0, 4.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0),
+        (4.0, INF, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    ]
+
+
+def test_collinear_any_angle_segments_of_different_lengths_merge():
+    t = make_traj([(0, 0), (2, 1), (6, 3), (6, 5)])
+    end = math.sqrt(5.0) + math.sqrt(20.0)
+    (m0, m1, stay) = t.affine_pieces()
+    assert m0[0] == 0.0 and m0[1] == t.waypoints[2].arrival
+    assert m0[1] == pytest.approx(3.0 * math.sqrt(5.0), abs=1e-12)
+    assert m0[2:4] == (0.0, 0.0) and m0[6:] == (6.0, 3.0)
+    assert m0[4:6] == pytest.approx((6.0 / end, 3.0 / end), abs=1e-15)
+    assert m1 == (m0[1], m0[1] + 2.0, 6.0, 3.0, 0.0, 1.0, 6.0, 5.0)
+    assert stay == (m0[1] + 2.0, INF, 6.0, 5.0, 0.0, 0.0, 6.0, 5.0)
+
+
+def _random_scenes():
+    rng = random.Random(1414)
+    for k in range(300):
+        yield random_trajectory(
+            rng, size=12, max_moves=10, wait_prob=0.15, cardinal_only=k % 2 == 0
+        )
+
+
+def test_pieces_tile_time_and_never_continue_a_run():
+    merged = 0
+    for t in _random_scenes():
+        pieces = t.affine_pieces()
+        merged += len(segment_pieces(t)) - len(pieces)
+        assert pieces[0][0] == 0.0 and pieces[-1][1] == INF
+        assert all(p[0] < p[1] for p in pieces)
+        assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+        for p, q in zip(pieces, pieces[1:]):
+            # end points sit on cell centers, so these products are exact
+            ux, uy = p[6] - p[2], p[7] - p[3]
+            wx, wy = q[6] - q[2], q[7] - q[3]
+            moving = (ux or uy) and (wx or wy)
+            assert not (moving and ux * wy == uy * wx and ux * wx + uy * wy > 0), (p, q)
+            assert (p[6], p[7]) == (q[2], q[3])
+    assert merged > 100
+
+
+def test_pieces_match_position_at():
+    for t in _random_scenes():
+        pieces = t.affine_pieces()
+        starts = [p[0] for p in pieces]
+        times = [wp.arrival for wp in t.waypoints]
+        times += [wp.arrival + wp.wait for wp in t.waypoints[:-1]]
+        times += list(np.linspace(0.0, t.cost() + 2.0, 57))
+        for tau in times:
+            p = pieces[max(0, bisect_right(starts, tau) - 1)]
+            x = p[2] + p[4] * (tau - p[0])
+            y = p[3] + p[5] * (tau - p[0])
+            assert (x, y) == pytest.approx(t.position_at(tau), abs=1e-9), (tau, p)
 
 
 def test_invalid_trajectories_rejected():

@@ -1,8 +1,10 @@
+import math
 import random
 from types import SimpleNamespace
 
 import pytest
 
+from anysipp.constraints import build_table
 from anysipp.grid import GridMap
 from anysipp.prioritized import Instance
 from anysipp.trajectory import Trajectory
@@ -49,6 +51,27 @@ def test_conflict_created_by_wait():
     assert c is not None
     # contact registers once the gap is a hair under one diameter
     assert c.time == pytest.approx(2.0, abs=1e-8)
+
+
+def test_conflict_inside_a_merged_piece():
+    # The obstacle runs along row 2, one waypoint per cell, which is one
+    # move piece; the other agent waits, then crosses the run at (4, 2).
+    row = make_traj([(c, 2) for c in range(9)])
+    assert len(row.affine_pieces()) == 2
+    crosser = make_traj([(4, 0), (4, 1), (4, 2), (4, 3), (4, 4)], waits=[1.5, 0, 0, 0, 0])
+    inst = Instance(GridMap.empty(9, 5), [((0, 2), (8, 2)), ((4, 0), (4, 4))])
+    report = validate_solution(inst, [row, crosser])
+    assert report.static_violations == [] and len(report.conflicts) == 1
+    expected = first_sampled_conflict(row, crosser, 10.0)
+    assert expected is not None
+    assert report.conflicts[0].time == pytest.approx(expected, abs=2e-4)
+    # The cell the crosser passes at t = 3.5 is unsafe while the obstacle
+    # center is within one diameter of it, (3, 5).
+    ivs = build_table([row]).safe_intervals_at((4, 2))
+    assert [(iv.start, iv.end) for iv in ivs] == [
+        pytest.approx((0.0, 3.0), abs=1e-6), pytest.approx((5.0, math.inf), abs=1e-6)
+    ]
+    assert not any(iv.start <= 3.5 <= iv.end for iv in ivs)
 
 
 def test_symmetry():
