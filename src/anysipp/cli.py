@@ -7,12 +7,12 @@ import argparse
 import json
 import sys
 import time as _time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .grid import GridMap, MapFormatError, parse_map
+from .grid import MapFormatError, parse_map
 from .planner import PlannerMode
 from .prioritized import (
     GenerationError,
@@ -45,49 +45,42 @@ class RunRecord:
 
 @dataclass
 class BenchConfig:
-    grid: GridMap
     instances: List[Tuple[str, int, Instance]]  # (id, seed, instance)
     modes: List[str]
     timeout: float = 300.0
-    validate: bool = True
     dump_trajectories: bool = False
     collect_traces: bool = False
     workers: int = 1
 
 
 def _run_instance(task):
-    (inst_id, seed, instance), modes, timeout, do_validate, dump, traces = task
+    """Plans, validates and records one instance in each mode. A run
+    succeeds only if its solution is complete and the validator agrees;
+    ``time_s`` is the planning time, or the time up to an exception."""
+    (inst_id, seed, instance), modes, timeout, dump, traces = task
     records = []
     dumps = []
     trace_lines = []
     for mode_name in modes:
         mode = MODE_NAMES[mode_name]
         t0 = _time.monotonic()
+        valid: Optional[bool] = None
+        error: Optional[str] = None
         try:
             sol = plan_all(instance, mode, timeout=timeout, collect_traces=traces)
             elapsed = _time.monotonic() - t0
-            success = sol.success
-            valid: Optional[bool] = None
-            if do_validate and success:
+            if sol.success:
                 valid = validate_solution(instance, sol).ok
-                success = success and valid
         except Exception as exc:  # one bad run must not abort the batch
-            records.append(
-                RunRecord(
-                    inst_id, mode_name, instance.n_agents, False,
-                    _time.monotonic() - t0, None, None, seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            sol, elapsed = None, _time.monotonic() - t0
+            error = f"{type(exc).__name__}: {exc}"
+        success = valid is True
+        records.append(RunRecord(
+            inst_id, mode_name, instance.n_agents, success, elapsed,
+            sol.total_cost if success else None, valid, seed, error,
+        ))
+        if sol is None:
             continue
-        records.append(
-            RunRecord(
-                inst_id, mode_name, instance.n_agents, success, elapsed,
-                sol.total_cost if success else None,
-                valid if do_validate else None,
-                seed,
-            )
-        )
         if dump and success:
             for i, traj in enumerate(sol.trajectories):
                 dumps.append(f"# {inst_id} {mode_name} agent {i}")
@@ -107,8 +100,8 @@ def run_benchmark(config: BenchConfig):
     trace lines). Records are ordered by instance then mode regardless of
     worker scheduling."""
     tasks = [
-        (entry, config.modes, config.timeout, config.validate,
-         config.dump_trajectories, config.collect_traces)
+        (entry, config.modes, config.timeout, config.dump_trajectories,
+         config.collect_traces)
         for entry in config.instances
     ]
     results = []
@@ -183,17 +176,7 @@ def emit_results(records, summary, prefix: str, dumps=None, traces=None) -> None
     prefix_path = Path(prefix)
     prefix_path.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}.csv").write_text(format_csv(records))
-    payload = {
-        "records": [
-            {
-                "instance": r.instance, "mode": r.mode, "agents": r.agents,
-                "success": r.success, "time_s": r.time_s, "cost": r.cost,
-                "valid": r.valid, "seed": r.seed, "error": r.error,
-            }
-            for r in records
-        ],
-        "summary": summary,
-    }
+    payload = {"records": [asdict(r) for r in records], "summary": summary}
     Path(f"{prefix}.json").write_text(json.dumps(payload, indent=2) + "\n")
     if dumps:
         Path(f"{prefix}.paths.txt").write_text("\n".join(dumps) + "\n")
@@ -221,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock seconds for planning each instance in each mode")
     p.add_argument("--out", help="output artifact prefix (.csv/.json)")
     p.add_argument("--dump-trajectories", action="store_true")
-    p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--trace", action="store_true", help="dump search expansion traces")
     p.add_argument("--workers", type=int, default=1, help="parallel instance workers")
     return p
@@ -261,11 +243,9 @@ def _config_from_args(args) -> BenchConfig:
     if args.trace and not args.out:
         raise InstanceError("--trace requires --out")
     return BenchConfig(
-        grid=grid,
         instances=instances,
         modes=modes,
         timeout=args.timeout,
-        validate=args.validate,
         dump_trajectories=args.dump_trajectories,
         collect_traces=args.trace,
         workers=args.workers,

@@ -9,6 +9,10 @@ from .geometry import Cell, swept_cells
 FREE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTSW")
 
+# Step sets for GridMap.successors: 4-connected, then 8-connected.
+CARDINAL_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+OCTILE_STEPS = CARDINAL_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
 
 class MapFormatError(ValueError):
     """Raised for malformed map files; carries 1-based line/column."""

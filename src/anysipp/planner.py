@@ -23,9 +23,10 @@ the shortcut's pops, and only if the shortcut has not beaten it by then.
 No trajectory reaches the goal for good before B = max(h(start), T), where
 T is the start of the goal's last safe interval, the one unbounded above. So
 an arrival there at B is optimal, and the search ends as soon as it verifies
-one. In any-angle mode it first tries the straight move from the start,
-departing any time the start's interval allows; a neighbour step counts only
-if the map's successor table holds it, since its corners are checked there.
+one. A goal with no such interval fails before any expansion. In any-angle
+mode the search first tries the straight move from the start, departing any
+time the start's interval allows; a neighbour step counts only if the map's
+successor table holds it, since its corners are checked there.
 In both modes a candidate into that interval whose lower bound is at most B
 is verified when it is generated rather than when it is popped, and ends the
 search if its true arrival is at most B.
@@ -49,13 +50,10 @@ from .constraints import (
     _relevant_from_cells,
 )
 from .geometry import Cell, swept_cells
-from .grid import GridMap
+from .grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap
 from .trajectory import Trajectory, Waypoint
 
 INF = math.inf
-
-_CARDINAL = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_OCTILE = _CARDINAL + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class PlanningError(Exception):
@@ -98,19 +96,19 @@ class PlannerMode:
 class SearchState:
     """A cell and one of its safe intervals, reached at time g. Every move
     and wait costs its duration from the root at time 0, so g is both the
-    state's cost and its arrival time."""
+    state's cost and its arrival time. The search keys states by (cell,
+    interval index)."""
 
-    __slots__ = ("cfg", "interval_index", "interval", "g", "parent")
+    __slots__ = ("cfg", "interval", "g", "parent")
 
-    def __init__(self, cfg, interval_index, interval, g, parent):
+    def __init__(self, cfg, interval, g, parent):
         self.cfg = cfg
-        self.interval_index = interval_index
         self.interval = interval
         self.g = g
         self.parent = parent
 
     def __repr__(self):
-        return f"SearchState(cfg={self.cfg}, iv={self.interval_index}, g={self.g:.3f})"
+        return f"SearchState(cfg={self.cfg}, interval={self.interval}, g={self.g:.3f})"
 
 
 class Search:
@@ -124,8 +122,8 @@ class Search:
     the more ancestral source first. ``fallback`` is None, or for a shortcut
     from src the expanded state whose own candidate waits on this one.
 
-    ``bound`` is the bound B of the module docstring (-inf while the goal has
-    no unbounded interval), and ``reached`` the goal state verified at it.
+    ``bound`` is the bound B of the module docstring (-inf until :meth:`run`
+    sets it), and ``reached`` the goal state verified at it.
     """
 
     def __init__(
@@ -143,7 +141,7 @@ class Search:
         self.mode = mode
         self.deadline = deadline
         self.trace = trace
-        self._next = grid.successors(_OCTILE if mode.any_angle else _CARDINAL)
+        self._next = grid.successors(OCTILE_STEPS if mode.any_angle else CARDINAL_STEPS)
         self.nodes = {}
         self.open: list = []
         self._cells = {}
@@ -233,7 +231,7 @@ class Search:
         g = self._arrival((x, y), iv, src)
         if g is None or g > self.bound:
             return False
-        self.reached = SearchState((x, y), idx, iv, g, src)
+        self.reached = SearchState((x, y), iv, g, src)
         return True
 
     def _arrival(self, cfg, iv, src: SearchState) -> Optional[float]:
@@ -270,7 +268,7 @@ class Search:
             return
         node = self.nodes.get(key)
         if node is None:
-            self.nodes[key] = SearchState(cfg, idx, iv, g, src)
+            self.nodes[key] = SearchState(cfg, iv, g, src)
         else:
             node.parent = src
             if g >= node.g - TOL:
@@ -309,20 +307,21 @@ class Search:
         ivs, h = self._record(start)
         if not ivs or ivs[0].start > TOL:
             raise StartUnsafe(f"start {start} is in collision at time 0")
-        root = SearchState(start, 0, ivs[0], 0.0, None)
+        root = SearchState(start, ivs[0], 0.0, None)
         self.nodes[(start, 0)] = root
         goal = self.goal
         goal_ivs, _ = self._record(goal)
-        if goal_ivs and goal_ivs[-1].end == INF:
-            last = len(goal_ivs) - 1
-            self.bound = max(h, goal_ivs[last].start)
-            dx, dy = goal[0] - start[0], goal[1] - start[1]
-            if (self.mode.any_angle
-                    and (abs(dx) > 1 or abs(dy) > 1 or goal in self._next[start])
-                    and self._at_bound(goal[0], goal[1], last, goal_ivs[last], root)):
-                self._log(root)
-                self._log(self.reached)
-                return self.reached
+        if not goal_ivs or goal_ivs[-1].end != INF:
+            raise GoalUnreachable(f"goal {goal} is never free for good")
+        last = len(goal_ivs) - 1
+        self.bound = max(h, goal_ivs[last].start)
+        dx, dy = goal[0] - start[0], goal[1] - start[1]
+        if (self.mode.any_angle
+                and (abs(dx) > 1 or abs(dy) > 1 or goal in self._next[start])
+                and self._at_bound(goal[0], goal[1], last, goal_ivs[last], root)):
+            self._log(root)
+            self._log(self.reached)
+            return self.reached
         heappush(self.open, (h, 0.0, start[0], start[1], 0))
         pops = 0
         while self.open:

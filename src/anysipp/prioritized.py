@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .constraints import ConstraintTable
 from .geometry import Cell
-from .grid import GridMap
+from .grid import CARDINAL_STEPS, GridMap
 from .planner import (
     GoalUnreachable,
     PlannerMode,
@@ -74,7 +74,6 @@ class Solution:
     trajectories: List[Optional[Trajectory]]
     statuses: List[str]
     total_cost: Optional[float]
-    wall_time: float
     traces: Optional[List[Optional[list]]] = None
 
     @property
@@ -91,8 +90,7 @@ def plan_all(
     """Plan every agent in priority order against the accumulated higher
     priority trajectories. The first failure aborts the chain; remaining
     agents are marked skipped."""
-    t0 = _time.monotonic()
-    deadline = t0 + timeout if timeout is not None else None
+    deadline = _time.monotonic() + timeout if timeout is not None else None
     table = ConstraintTable()
     trajectories: List[Optional[Trajectory]] = []
     statuses: List[str] = []
@@ -107,8 +105,6 @@ def plan_all(
             continue
         trace = [] if collect_traces else None
         try:
-            if deadline is not None and _time.monotonic() > deadline:
-                raise PlanTimeout("instance deadline exceeded")
             traj = plan(
                 instance.grid, (), start, goal, mode,
                 table=table, deadline=deadline, trace=trace,
@@ -124,7 +120,7 @@ def plan_all(
         if traces is not None:
             traces.append(trace)
     total = sum(t.cost() for t in trajectories) if not failed else None
-    return Solution(trajectories, statuses, total, _time.monotonic() - t0, traces)
+    return Solution(trajectories, statuses, total, traces)
 
 
 @dataclass
@@ -149,31 +145,22 @@ def check_wfi(instance: Instance) -> WfiReport:
             if e not in seen:
                 seen.add(e)
                 endpoints.append(e)
-    grid = instance.grid
+    nbrs = instance.grid.successors(CARDINAL_STEPS)
     failures = []
     for e1 in endpoints:
         blocked_extra = seen - {e1}
         reached = {e1}
         queue = deque([e1])
         while queue:
-            c, r = queue.popleft()
-            for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nxt = (c + dc, r + dr)
+            for nxt in nbrs[queue.popleft()]:
                 if nxt in reached or nxt in blocked_extra:
-                    continue
-                if not grid.is_traversable(nxt):
                     continue
                 reached.add(nxt)
                 queue.append(nxt)
         for e2 in endpoints:
             if e2 == e1:
                 continue
-            c, r = e2
-            ok = any(
-                (c + dc, r + dr) in reached
-                for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            )
-            if not ok:
+            if not any(nxt in reached for nxt in nbrs[e2]):
                 failures.append((e1, e2))
     return WfiReport(not failures, failures)
 
@@ -217,21 +204,17 @@ def generate_instance(
         if n > len(free):
             raise GenerationError(f"{n} starts requested, {len(free)} free cells")
         starts = rng.sample(free, n)
+        nbrs = grid.successors(CARDINAL_STEPS)
         goals: List[Cell] = []
         for start in starts:
             goal = None
             for _ in range(64):
                 pos = start
                 for _ in range(walk_steps):
-                    c, r = pos
-                    nbrs = [
-                        (c + dc, r + dr)
-                        for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                        if grid.is_traversable((c + dc, r + dr))
-                    ]
-                    if not nbrs:
+                    moves = nbrs[pos]
+                    if not moves:
                         break
-                    pos = nbrs[rng.randrange(len(nbrs))]
+                    pos = moves[rng.randrange(len(moves))]
                 if pos not in goals:
                     goal = pos
                     break

@@ -137,7 +137,7 @@ def test_criterion_4_benchmark_cost_band():
         for k in range(100)
     ]
     config = BenchConfig(
-        grid=grid, instances=instances, modes=["aa", "cardinal"], timeout=300.0
+        instances=instances, modes=["aa", "cardinal"], timeout=300.0
     )
     records, summary, _, _ = run_benchmark(config)
     all_valid = all(r.valid for r in records if r.success)
@@ -177,7 +177,7 @@ def test_criterion_5_benchmark_maps(name, band):
         for k in range(n_instances)
     ]
     config = BenchConfig(
-        grid=grid, instances=instances, modes=["aa", "cardinal"], timeout=300.0
+        instances=instances, modes=["aa", "cardinal"], timeout=300.0
     )
     records, summary, _, _ = run_benchmark(config)
     reduction = summary.get("aa_cost_reduction_vs_cardinal")

@@ -5,6 +5,7 @@ import pytest
 
 from anysipp import cli
 from anysipp.cli import (
+    CSV_HEADER,
     BenchConfig,
     RunRecord,
     emit_results,
@@ -31,7 +32,7 @@ def small_config(modes=("aa", "cardinal"), n_instances=2, **kw):
         (f"t-{k:03d}", 50 + k, generate_instance(grid, 3, 50 + k, "separated"))
         for k in range(n_instances)
     ]
-    return BenchConfig(grid=grid, instances=instances, modes=list(modes), **kw)
+    return BenchConfig(instances=instances, modes=list(modes), **kw)
 
 
 def test_run_benchmark_records_and_summary():
@@ -186,6 +187,24 @@ def test_main_config_errors(tmp_path):
         main(["--map", str(map_path), "--generate", "separated", "--agents", "2",
               "--mode", "warp"])
 
+
+
+@pytest.mark.parametrize("flag", ["--no-validate", "--validate"])
+def test_validation_cannot_be_switched(tmp_path, flag):
+    map_path = write_empty_map(tmp_path / "m.map")
+    with pytest.raises(SystemExit) as exc:
+        main(["--map", str(map_path), "--generate", "separated", "--agents", "2", flag])
+    assert exc.value.code == 2
+
+
+def test_json_record_keys_follow_csv_columns(tmp_path):
+    records, summary, _, _ = run_benchmark(small_config(timeout=30.0))
+    records.append(RunRecord("t-xxx", "aa", 3, False, 0.5, None, None, 99, "ValueError: x"))
+    emit_results(records, summary, str(tmp_path / "run"))
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert len(payload["records"]) == len(records)
+    for rec in payload["records"]:
+        assert list(rec) == CSV_HEADER.split(",") + ["error"]
 
 @pytest.mark.parametrize("source, agents", [
     ("scen", "-1"), ("scen", "0"), ("generate", "-2"), ("generate", "0"), ("header", None),

@@ -118,6 +118,22 @@ def test_goal_parked_on_forever_is_unreachable():
         plan(GridMap.empty(5, 5), [make_traj([(4, 4)])], (0, 0), (4, 4), AA)
 
 
+@pytest.mark.parametrize("mode", [AA, CARDINAL])
+def test_goal_never_free_for_good_fails_before_any_expansion(mode):
+    # An obstacle parks on the goal from the start, or arrives there later
+    # and parks: either way the goal is never free for good, and the search
+    # raises without expanding the reachable states.
+    grid = GridMap.empty(32, 32)
+    for obstacles, goal in (
+        ([make_traj([(20, 20)])], (20, 20)),
+        ([make_traj([(20, 25), (20, 10)])], (20, 10)),
+    ):
+        search = Search(grid, build_table(obstacles), goal, mode)
+        with pytest.raises(GoalUnreachable):
+            search.run((0, 0))
+        assert search.expansions == 0
+
+
 def test_walled_goal_unreachable_cardinal_but_not_aa():
     # diagonal gaps: cardinal connectivity cannot pass, any-angle cannot either
     # (corner cells still block the disk), so both fail
@@ -322,7 +338,7 @@ def expand_and_verify(search, state):
 def expand_from(search, cfg, g=0.0, parent=None):
     """Registers a state at cfg in its first safe interval, arriving at time
     g, expands it and verifies its successors; returns the state."""
-    state = SearchState(cfg, 0, search.table.safe_intervals_at(cfg)[0], g, parent)
+    state = SearchState(cfg, search.table.safe_intervals_at(cfg)[0], g, parent)
     search.nodes[(cfg, 0)] = state
     expand_and_verify(search, state)
     return state
@@ -412,8 +428,8 @@ def test_equal_cost_tie_takes_the_more_ancestral_source():
     # collapses onto the sight line, and keeps the node's g and open entry.
     search = fresh_search(GridMap.empty(6, 6), [], (5, 5))
     iv = search.table.safe_intervals_at((0, 0))[0]
-    root = SearchState((0, 0), 0, iv, 0.0, None)
-    mid = SearchState((1, 1), 0, iv, math.sqrt(2), root)
+    root = SearchState((0, 0), iv, 0.0, None)
+    mid = SearchState((1, 1), iv, math.sqrt(2), root)
     ivs, h = search._record((3, 3))
     via_mid = mid.g + math.hypot(2, 2)
     search._arrive(3, 3, 0, ivs[0], h, via_mid, mid)
@@ -440,7 +456,7 @@ def test_equal_cost_tie_takes_the_more_ancestral_source():
 def _chain(cells_times):
     parent = None
     for cell, t in cells_times:
-        parent = SearchState(cell, 0, None, t, parent)
+        parent = SearchState(cell, None, t, parent)
     return parent
 
 

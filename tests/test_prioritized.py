@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from anysipp.grid import GridMap
@@ -106,6 +108,25 @@ def test_wfi_fails_in_narrow_corridor():
     assert ((0, 1), (4, 1)) in report.failures
 
 
+
+def test_wfi_failures_pinned_on_corridor_with_pocket():
+    # A one-cell-high corridor with one free pocket cell below (3, 1). The
+    # failure list, order included, was recorded from the plain BFS over the
+    # four cardinal steps; a change of neighbour order or of the witness
+    # rule shows here.
+    grid = GridMap.from_blocked(
+        7, 3, [(c, r) for c in range(7) for r in (0, 2) if (c, r) != (3, 2)]
+    )
+    inst = Instance(grid, [((0, 1), (6, 1)), ((1, 1), (5, 1)), ((3, 1), (2, 1))])
+    assert check_wfi(inst).failures == [
+        ((0, 1), (6, 1)), ((0, 1), (5, 1)), ((0, 1), (3, 1)), ((0, 1), (2, 1)),
+        ((6, 1), (0, 1)), ((6, 1), (1, 1)), ((6, 1), (3, 1)), ((6, 1), (2, 1)),
+        ((1, 1), (6, 1)), ((1, 1), (5, 1)), ((1, 1), (3, 1)),
+        ((5, 1), (0, 1)), ((5, 1), (1, 1)), ((5, 1), (2, 1)),
+        ((3, 1), (0, 1)), ((3, 1), (6, 1)), ((3, 1), (1, 1)),
+        ((2, 1), (0, 1)), ((2, 1), (6, 1)), ((2, 1), (5, 1)),
+    ]
+
 def test_wfi_single_agent_vacuous():
     grid = GridMap.empty(4, 4)
     report = check_wfi(Instance(grid, [((0, 0), (3, 3))]))
@@ -136,6 +157,19 @@ def test_generation_is_deterministic():
     w2 = generate_instance(grid, 6, seed=7, protocol="walk", walk_steps=50)
     assert w1.agents == w2.agents
 
+
+
+def test_walk_instance_pinned_on_blocked_map():
+    # Recorded from the walk over the four cardinal steps in the order
+    # +x, -x, +y, -y; any change of neighbour order moves these goals.
+    rng = random.Random(2024)
+    blocked = [(c, r) for r in range(16) for c in range(16) if rng.random() < 0.2]
+    grid = GridMap.from_blocked(16, 16, blocked)
+    inst = generate_instance(grid, 6, seed=11, protocol="walk", walk_steps=300)
+    assert inst.agents == [
+        ((15, 8), (9, 0)), ((15, 10), (13, 8)), ((5, 15), (7, 13)),
+        ((3, 9), (3, 1)), ((0, 10), (0, 10)), ((7, 11), (9, 11)),
+    ]
 
 def test_generation_capacity_errors():
     grid = GridMap.empty(3, 3)
