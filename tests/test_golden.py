@@ -37,6 +37,8 @@ def instances():
         "blocked20-separated-a": generate_instance(blocked, 10, seed=13, protocol="separated"),
         "blocked20-separated-b": generate_instance(blocked, 14, seed=14, protocol="separated"),
         "empty16-walk": generate_instance(empty16, 12, seed=15, protocol="walk", walk_steps=40),
+        "blocked64-separated": generate_instance(blocked_grid(64, 0.2, seed=1), 40, seed=16,
+                                                 protocol="separated"),
     }
 
 
