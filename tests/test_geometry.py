@@ -59,6 +59,25 @@ def test_sweep_matches_sampling_oracle():
             check_sweep_against_oracle((0, 0), (dx, dy))
 
 
+
+def _images(x, y):
+    """The 8 images of (x, y) under the grid's reflections and rotations, in
+    one fixed order of the symmetries."""
+    return [(sx * u, sy * v) for u, v in ((x, y), (y, x)) for sx in (1, -1) for sy in (1, -1)]
+
+
+def test_sweep_commutes_with_grid_symmetries():
+    # Each of the 8 symmetries maps the sweep of a displacement onto the
+    # sweep of its image, so the first octant (0 <= dy <= dx), checked here
+    # against the oracle, decides every displacement.
+    for dx in range(-16, 17):
+        for dy in range(-16, 17):
+            images = [_images(*cell) for cell in swept_cells((0, 0), (dx, dy))]
+            for k, target in enumerate(_images(dx, dy)):
+                assert set(swept_cells((0, 0), target)) == {img[k] for img in images}, (dx, dy, k)
+            if 0 <= dy <= dx:
+                check_sweep_against_oracle((0, 0), (dx, dy))
+
 def test_sweep_symmetry_and_endpoints_and_size():
     rng = random.Random(97)
     for _ in range(500):
