@@ -17,11 +17,7 @@ distance below ``_WINDOW_R2``, by the chord a line cuts from that disk:
 
 If two centers come within one diameter, the cell holding their midpoint is
 swept by both disks, so the pieces indexed under a move's swept cells are
-all the pieces it can meet. ``ConstraintTable.piece_near`` tells exactly,
-without enumerating the move's swept cells, that no piece comes within
-``RELEVANCE_DIST`` of a move; such a move has no collision window. The search
-uses it as a broad-phase screen for shortcut moves on grids without blocked
-cells.
+all the pieces it can meet.
 """
 
 from __future__ import annotations
@@ -35,12 +31,6 @@ from .trajectory import Trajectory
 TOL = 1e-9
 INF = math.inf
 
-# Obstacles are disks of radius 0.5, so centers conflict within 1.0.
-# piece_near screens at twice that, which keeps it sound with room to spare.
-RELEVANCE_DIST = 2.0
-# piece_near errs on the near side by this much, so that rounding can never
-# hide a piece that could meet the move.
-SCREEN_SLACK = 1e-6
 # Safe intervals and move windows are both computed for a disk of squared
 # radius 1 - TOL, a hair inside the diameter: touches at exactly one
 # diameter, which the grid makes common, stay outside it despite rounding,
@@ -62,20 +52,12 @@ class ConstraintTable:
     def __init__(self):
         # Affine pieces (see Trajectory.affine_pieces) by the cells they touch.
         self._passes: Dict[Cell, list] = {}
-        # End points (x0, y0, x1, y1) of the pieces, for piece_near. A wait
-        # sits at the start of the move piece after it and the terminal stay
-        # at the end of the last one, so only a trajectory without moves
-        # needs its zero-length piece here.
-        self._segments: List[Tuple[float, float, float, float]] = []
 
     def add_trajectory(self, traj: Trajectory) -> None:
         passes = self._passes
-        pieces = traj.affine_pieces()
-        for piece in pieces:
+        for piece in traj.affine_pieces():
             for cell in swept_cells(piece[2:4], piece[6:8]):
                 passes.setdefault(cell, []).append(piece)
-            if piece[4] or piece[5] or len(pieces) == 1:
-                self._segments.append((piece[2], piece[3], piece[6], piece[7]))
 
     def safe_intervals_at(self, cell) -> Tuple[TimeInterval, ...]:
         pieces = self._passes.get(tuple(cell))
@@ -84,72 +66,6 @@ class ConstraintTable:
         cx, cy = float(cell[0]), float(cell[1])
         windows = _merge(_piece_windows(cx, cy, pieces))
         return _complement(windows)
-
-    def piece_near(self, move_a, move_b) -> bool:
-        """Whether some stored piece comes within RELEVANCE_DIST of the
-        segment move_a -> move_b. Errs on the near side by at most
-        SCREEN_SLACK. Only pieces within one diameter can meet the move, so
-        False guarantees that the move has no collision window. A move with
-        an end point in a cell that some piece sweeps is near at once, since
-        that cell's center is within 0.5 + sqrt(0.5) of the piece. Otherwise
-        each piece is rejected by bounding box, then by its end points'
-        distance to the move's line, and else decided by the exact
-        segment-segment distance."""
-        passes = self._passes
-        if tuple(move_a) in passes or tuple(move_b) in passes:
-            return True
-        ax, ay = float(move_a[0]), float(move_a[1])
-        bx, by = float(move_b[0]), float(move_b[1])
-        r = RELEVANCE_DIST + SCREEN_SLACK
-        r2 = r * r
-        lox, hix = (ax - r, bx + r) if ax <= bx else (bx - r, ax + r)
-        loy, hiy = (ay - r, by + r) if ay <= by else (by - r, ay + r)
-        ux, uy = bx - ax, by - ay
-        den = ux * ux + uy * uy
-        line2 = r2 * den
-        for x0, y0, x1, y1 in self._segments:
-            if ((x0 < lox and x1 < lox) or (x0 > hix and x1 > hix)
-                    or (y0 < loy and y1 < loy) or (y0 > hiy and y1 > hiy)):
-                continue
-            # Twice the signed areas: the end points' distances to the move's
-            # line times its length.
-            c0 = ux * (y0 - ay) - uy * (x0 - ax)
-            c1 = ux * (y1 - ay) - uy * (x1 - ax)
-            if c0 * c1 > 0.0 and c0 * c0 > line2 and c1 * c1 > line2:
-                continue
-            if _seg_seg_dist2(ax, ay, bx, by, x0, y0, x1, y1, c0, c1) < r2:
-                return True
-        return False
-
-
-def _point_seg_dist2(px, py, ax, ay, bx, by) -> float:
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    if den > 0.0:
-        t = ((px - ax) * dx + (py - ay) * dy) / den
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        ax, ay = ax + t * dx, ay + t * dy
-    ex, ey = px - ax, py - ay
-    return ex * ex + ey * ey
-
-
-def _seg_seg_dist2(ax, ay, bx, by, cx, cy, dx, dy, c0, c1) -> float:
-    """Squared distance between segments a-b and c-d, where c0 and c1 are the
-    orientations of c and d against a-b (see piece_near). A proper crossing
-    is 0; otherwise the closest pair involves an end point."""
-    if c0 * c1 < 0.0:
-        vx, vy = dx - cx, dy - cy
-        if (vx * (ay - cy) - vy * (ax - cx)) * (vx * (by - cy) - vy * (bx - cx)) < 0.0:
-            return 0.0
-    return min(
-        _point_seg_dist2(cx, cy, ax, ay, bx, by),
-        _point_seg_dist2(dx, dy, ax, ay, bx, by),
-        _point_seg_dist2(ax, ay, cx, cy, dx, dy),
-        _point_seg_dist2(bx, by, cx, cy, dx, dy),
-    )
 
 
 def build_table(obstacles: Sequence[Trajectory]) -> ConstraintTable:

@@ -31,66 +31,55 @@ def swept_cells(a, b) -> Tuple[Cell, ...]:
 
     Endpoints must be cell centers. A cell is included iff its interior
     intersects the open swept region {q : dist(q, segment) < 0.5}; exact
-    touches (distance within GEOM_TOL of the radius) are excluded. Output is
-    ordered along the dominant axis, minor axis ascending within a batch, and
-    is identical for a -> b and b -> a.
+    touches (distance within GEOM_TOL of the radius) are excluded. The set
+    is the same for a -> b and b -> a; the order of the cells is unspecified.
     """
-    pa, pb = _as_cell(a), _as_cell(b)
-    if pb < pa:
-        pa, pb = pb, pa
-    ax, ay = pa
-    return tuple([(ax + x, ay + y) for x, y in _swept_cached(pb[0] - ax, pb[1] - ay)])
+    (ax, ay), (bx, by) = _as_cell(a), _as_cell(b)
+    dx, dy = bx - ax, by - ay
+    sx, sy = (1 if dx >= 0 else -1), (1 if dy >= 0 else -1)
+    dx, dy = abs(dx), abs(dy)
+    if dy > dx:
+        return tuple([(ax + sx * v, ay + sy * u) for u, v in _swept_cached(dy, dx)])
+    return tuple([(ax + sx * u, ay + sy * v) for u, v in _swept_cached(dx, dy)])
 
 
-# The swept set is translation invariant: every test in the sweep depends
-# only on the displacement, so one entry per (dx, dy) serves every move with
-# that displacement, and a map of side n has at most 2n^2 of them. The
-# entries hold cell offsets from the smaller end point; the offset pairs are
-# interned, so that an entry costs one pointer per cell. The bound holds a
-# 64x64 map's every displacement; larger maps evict the least recent.
+# The swept set is translation invariant and commutes with the grid's eight
+# reflections and rotations, so one entry per first-octant displacement
+# (0 <= dy <= dx) serves every move that maps onto it, and a map of side n
+# has about n^2 / 2 of them. The entries hold cell offsets from the origin;
+# the offset pairs are interned, so that an entry costs one pointer per
+# cell. The bound holds every displacement of a map of side up to 127;
+# larger maps evict the least recent.
 _OFFSETS: dict = {}
 
 
 @lru_cache(maxsize=1 << 13)
 def _swept_cached(dx: int, dy: int) -> Tuple[Cell, ...]:
     intern = _OFFSETS.setdefault
-    return tuple([intern(c, c) for c in _sweep(0, 0, dx, dy)])
+    return tuple([intern(c, c) for c in _sweep(dx, dy)])
 
 
-def _sweep(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
-    if ax == bx and ay == by:
-        return ((ax, ay),)
-    steep = abs(by - ay) > abs(bx - ax)
-    if steep:
-        ax, ay, bx, by = ay, ax, by, bx
-    if ax > bx:
-        ax, ay, bx, by = bx, by, ax, ay
-    # 0 <= |dy| <= dx from here on. Work in doubled coordinates so that cell
-    # edges and corners are integers and every test below is exact.
-    dx, dy = bx - ax, by - ay
+def _sweep(dx: int, dy: int) -> Tuple[Cell, ...]:
+    """The swept cells of the move (0, 0) -> (dx, dy), 0 <= dy <= dx, column
+    by column."""
+    if dx == 0:
+        return ((0, 0),)
+    # Work in doubled coordinates so that cell edges and corners are
+    # integers and every test below is exact.
     den = dx * dx + dy * dy
     hit = _CORNER_HIT * den
-    base = 2 * dx * ay + dx
     cells = []
-    for x in range(ax, bx + 1):
+    for x in range(dx + 1):
         # Rows the segment passes through within this column: distance 0.
-        xl = max(2 * x - 1, 2 * ax) - 2 * ax
-        xr = min(2 * x + 1, 2 * bx) - 2 * ax
-        lo = (base + dy * xl) // (2 * dx)
-        hi = (base + dy * xr) // (2 * dx)
-        if lo > hi:
-            lo, hi = hi, lo
+        lo = (dx + dy * max(2 * x - 1, 0)) // (2 * dx)
+        hi = (dx + dy * min(2 * x + 1, 2 * dx)) // (2 * dx)
         # The row on either side is entered iff the segment passes within the
         # radius of one of the two corners facing it (the endpoints are cell
         # centers, at least the radius from any other cell); rows further out
         # are at least sqrt(0.5) away.
-        below = _corner_near(x, 2 * lo - 1, ax, ay, dx, dy, den, hit)
-        above = _corner_near(x, 2 * hi + 1, ax, ay, dx, dy, den, hit)
-        rows = range(lo - 1 if below else lo, hi + 2 if above else hi + 1)
-        if steep:
-            cells += [(r, x) for r in rows]
-        else:
-            cells += [(x, r) for r in rows]
+        below = _corner_near(x, 2 * lo - 1, dx, dy, den, hit)
+        above = _corner_near(x, 2 * hi + 1, dx, dy, den, hit)
+        cells += [(x, r) for r in range(lo - 1 if below else lo, hi + 2 if above else hi + 1)]
     return tuple(cells)
 
 
@@ -100,12 +89,11 @@ def _sweep(ax: int, ay: int, bx: int, by: int) -> Tuple[Cell, ...]:
 _CORNER_HIT = (2 * (AGENT_RADIUS - GEOM_TOL)) ** 2
 
 
-def _corner_near(x, y2, ax, ay, dx, dy, den, hit) -> bool:
+def _corner_near(x, y2, dx, dy, den, hit) -> bool:
     """Whether either corner (x -+ 0.5, y2 / 2) lies within the radius of the
-    segment (ax, ay) + t * (dx, dy), t in [0, 1]."""
-    py = y2 - 2 * ay
-    for px in (2 * x - 1 - 2 * ax, 2 * x + 1 - 2 * ax):
-        cross = dx * py - dy * px
-        if cross * cross < hit and 0 <= dx * px + dy * py <= 2 * den:
+    segment t * (dx, dy), t in [0, 1]."""
+    for px in (2 * x - 1, 2 * x + 1):
+        cross = dx * y2 - dy * px
+        if cross * cross < hit and 0 <= dx * px + dy * y2 <= 2 * den:
             return True
     return False

@@ -168,9 +168,7 @@ class Search:
         cell cuts its line of sight; built once per move and search. A
         neighbour step sweeps its ends and corners, which the map's successor
         table has checked. A longer move enumerates its swept cells, on a
-        blocked grid for line of sight too; on an open grid it is first
-        screened against the obstacle pieces, and far from all of them it has
-        no windows."""
+        blocked grid for line of sight too."""
         key = (a, b)
         if key in self._cols:
             return self._cols[key]
@@ -178,15 +176,11 @@ class Search:
         cols = ()
         if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1:
             cells = (a, b, (b[0], a[1]), (a[0], b[1]))  # straight: a, b twice
-        elif self.grid.any_blocked:
-            cells = swept_cells(a, b)
-            if not self.grid.cells_traversable(cells):
-                cols = None
-        elif table._passes and table.piece_near(a, b):
-            cells = swept_cells(a, b)
         else:
-            cells = ()
-        if cols is not None and cells and table._passes:
+            cells = swept_cells(a, b)
+            if self.grid.any_blocked and not self.grid.cells_traversable(cells):
+                cols = None
+        if cols is not None and table._passes:
             cols = tuple(collision_intervals_for_move(a, b, _relevant_from_cells(cells, table)))
         self._cols[key] = cols
         return cols

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from anysipp.constraints import (
-    RELEVANCE_DIST,
     TimeInterval,
     _relevant_from_cells,
     build_table,
@@ -13,14 +12,11 @@ from anysipp.constraints import (
     earliest_arrival,
 )
 from anysipp.geometry import swept_cells
-from anysipp.grid import GridMap
-from anysipp.planner import PlannerMode, Search
 from anysipp.validate import first_conflict
 from anysipp.trajectory import Trajectory, Waypoint
 
 from oracles import (
     _min_dist_affine,
-    _seg_seg_dist,
     make_traj,
     occupied_mask,
     random_trajectory,
@@ -202,73 +198,8 @@ def test_relevant_constraints_deduplicate():
     assert len(pieces) == len(set(pieces)) == 3
 
 
-# ------------------------------------------------- piece screen
-
-def _full_move_model(a, b, table):
-    """The move collision model built from the move's swept cells, the path
-    the screen lets the search skip."""
-    return tuple(collision_intervals_for_move(a, b, move_pieces(a, b, table)))
-
-
-def _screened_move_model(a, b, table, size):
-    search = Search(GridMap.empty(size, size), table, b, PlannerMode.anyangle())
-    return search._cols_for(a, b)
-
-
-def test_piece_screen_is_exact_on_random_scenes():
-    rng = random.Random(2024)
-    size = 24
-    verdicts = {True: 0, False: 0}
-    for _ in range(60):
-        obstacles = [
-            random_trajectory(rng, size=size, max_moves=4, wait_prob=0.5)
-            for _ in range(rng.randint(1, 3))
-        ]
-        if rng.random() < 0.3:  # parked from the start: one zero-length piece
-            obstacles.append(make_traj([(rng.randrange(size), rng.randrange(size))]))
-        table = build_table(obstacles)
-        pieces = [p for traj in obstacles for p in traj.affine_pieces()]
-        for _ in range(25):
-            a = (rng.randrange(size), rng.randrange(size))
-            b = (rng.randrange(size), rng.randrange(size))
-            if a == b:
-                continue
-            near = table.piece_near(a, b)
-            verdicts[near] += 1
-            nearest = min(
-                _seg_seg_dist(a, b, (p[2], p[3]), (p[6], p[7])) for p in pieces
-            )
-            assert near == (nearest < RELEVANCE_DIST + 1e-6), (a, b, nearest)
-            assert _screened_move_model(a, b, table, size) == _full_move_model(a, b, table)
-    assert verdicts[True] > 100 and verdicts[False] > 100
-
-
-@pytest.mark.parametrize(
-    "obstacle, move, near",
-    [
-        # a piece exactly RELEVANCE_DIST from the move is screened as near
-        (make_traj([(0, 2), (10, 2)]), ((0, 0), (10, 0)), True),
-        (make_traj([(0, 3), (10, 3)]), ((0, 0), (10, 0)), False),
-        # a crossing piece, far from all four end points
-        (make_traj([(0, 10), (10, 0)]), ((0, 0), (10, 10)), True),
-        # a wait at 20 / sqrt(101) = 1.990 from the move, then a move away
-        (make_traj([(5, 2), (0, 7)], waits=[3.0, 0.0]), ((5, 0), (15, 1)), True),
-        # the same cell as a zero-length piece of its own: parked from the start
-        (make_traj([(5, 2)]), ((5, 0), (15, 1)), True),
-        (make_traj([(5, 3)]), ((5, 0), (15, 1)), False),
-    ],
-)
-def test_piece_screen_edge_cases(obstacle, move, near):
-    table = build_table([obstacle])
-    a, b = move
-    assert table.piece_near(a, b) == near
-    assert _screened_move_model(a, b, table, 16) == _full_move_model(a, b, table)
-
-
 def test_crossing_piece_has_relevant_constraints():
-    table = build_table([make_traj([(0, 10), (10, 0)])])
-    assert table.piece_near((0, 0), (10, 10))
-    assert _full_move_model((0, 0), (10, 10), table)
+    assert move_windows((0, 0), (10, 10), [make_traj([(0, 10), (10, 0)])])
 
 
 # ----------------------------------------------- collision intervals

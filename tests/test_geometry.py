@@ -96,18 +96,18 @@ def test_sweep_symmetry_and_endpoints_and_size():
 def test_moves_with_one_displacement_share_one_cache_entry():
     cache = geometry._swept_cached
     cache.cache_clear()
-    swept_cells((0, 0), (11, 3))
-    swept_cells((11, 3), (0, 0))  # the reverse
-    swept_cells((-7, 20), (4, 23))  # a translate
+    # the 8 images of one displacement, each as a translate and reversed
+    for k, (dx, dy) in enumerate(_images(11, 3)):
+        swept_cells((k, -k), (k + dx, dy - k))
+        swept_cells((dx, dy), (0, 0))
     info = cache.cache_info()
-    assert (info.currsize, info.hits) == (1, 2)
+    assert (info.currsize, info.hits) == (1, 15)
     assert info.maxsize is not None
     # The cache changes where a result is kept, never the result.
-    for a, b in (((0, 0), (2, -1)), ((3, 4), (4, 4)), ((5, 5), (5, 5)),
-                 ((0, 0), (11, 3)), ((-7, 20), (4, 23)), ((-3, -9), (-40, 17)),
-                 ((-1, -1), (-6, -6)), ((2, -30), (2, 12))):
-        lo, hi = min(a, b), max(a, b)
-        assert swept_cells(a, b) == geometry._sweep(*lo, *hi)
+    for (ax, ay), (dx, dy) in (((0, 0), (11, 3)), ((-7, 20), (11, 3)), ((3, 4), (1, 0)),
+                               ((5, 5), (0, 0)), ((2, -30), (42, 42)), ((-3, -9), (37, 26))):
+        assert (swept_cells((ax, ay), (ax + dx, ay + dy))
+                == tuple((ax + u, ay + v) for u, v in geometry._sweep(dx, dy)))
 
 
 def test_dist_examples():
