@@ -32,19 +32,19 @@ class Trajectory:
         wps = self.waypoints
         if not wps:
             raise ValueError("trajectory needs at least one waypoint")
-        if abs(wps[0].arrival) > 1e-9:
+        if not abs(wps[0].arrival) <= 1e-9:
             raise ValueError(f"first arrival must be 0, got {wps[0].arrival}")
         if not math.isinf(wps[-1].wait):
             raise ValueError("final waypoint must carry an infinite wait")
         for i, wp in enumerate(wps[:-1]):
-            if wp.wait < 0 or math.isinf(wp.wait):
+            if not 0 <= wp.wait < math.inf:
                 raise ValueError(f"waypoint {i} has bad wait {wp.wait}")
             nxt = wps[i + 1]
             if nxt.cell == wp.cell:
                 raise ValueError(f"consecutive waypoints {i},{i+1} share cell {wp.cell}")
             hop = math.hypot(nxt.cell[0] - wp.cell[0], nxt.cell[1] - wp.cell[1])
             expect = wp.arrival + wp.wait + hop
-            if abs(nxt.arrival - expect) > _ARITH_TOL:
+            if not abs(nxt.arrival - expect) <= _ARITH_TOL:
                 raise ValueError(
                     f"arrival {nxt.arrival} at waypoint {i+1} inconsistent, expected {expect}"
                 )

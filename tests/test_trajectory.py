@@ -191,6 +191,18 @@ def test_invalid_trajectories_rejected():
         ])
 
 
+@pytest.mark.parametrize("waypoints", [
+    [Waypoint((0, 0), math.nan, 0.0), Waypoint((4, 0), 4.0, math.inf)],
+    [Waypoint((0, 0), 0.0, math.nan), Waypoint((4, 0), 4.0, math.inf)],
+    [Waypoint((0, 0), 0.0, 0.0), Waypoint((4, 0), math.nan, math.inf)],
+], ids=["first-arrival", "wait", "later-arrival"])
+def test_nan_times_rejected(waypoints):
+    # Every check is phrased so that a NaN fails it; a trajectory with NaN
+    # times would otherwise reach the validator, which finds no conflict.
+    with pytest.raises(ValueError):
+        Trajectory(waypoints)
+
+
 def test_serialization_round_trip():
     t = make_traj([(0, 0), (3, 4), (3, 6)], waits=[0.5, 1.25, 0.0])
     lines = format_trajectory(t)
