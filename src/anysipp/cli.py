@@ -219,6 +219,8 @@ def _config_from_args(args) -> BenchConfig:
     for flag, value in (("--instances", args.instances), ("--workers", args.workers)):
         if value < 1:
             raise InstanceError(f"{flag} must be at least 1, got {value}")
+    if not args.timeout > 0:
+        raise InstanceError(f"--timeout must be positive, got {args.timeout}")
     if args.scen:
         inst = load_agents(Path(args.scen).read_text(), grid, max_agents=args.agents)
         instances.append((Path(args.scen).stem, args.seed, inst))

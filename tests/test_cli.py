@@ -234,6 +234,24 @@ def test_main_rejects_instance_and_worker_counts_below_one(tmp_path, capsys, fla
     assert out == "" and flag in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_main_rejects_timeouts_that_are_not_positive(tmp_path, capsys, value):
+    map_path = write_empty_map(tmp_path / "m.map")
+    argv = ["--map", str(map_path), "--generate", "separated", "--agents", "1",
+            "--mode", "aa", "--timeout", value]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--timeout" in err
+
+
+def test_main_accepts_an_infinite_timeout(tmp_path, capsys):
+    map_path = write_empty_map(tmp_path / "m.map")
+    argv = ["--map", str(map_path), "--generate", "separated", "--agents", "2",
+            "--mode", "aa", "--timeout", "inf"]
+    assert main(argv) == 0
+    assert "success=True" in capsys.readouterr().out
+
+
 def test_summarize_common_restriction():
     recs = [
         RunRecord("a", "aa", 2, True, 0.1, 10.0, True, 1),
