@@ -36,6 +36,7 @@ def swept_cells(a, b) -> Tuple[Cell, ...]:
     """
     (ax, ay), (bx, by) = _as_cell(a), _as_cell(b)
     dx, dy = bx - ax, by - ay
+    # Reflect the first-octant offsets into the move's octant.
     sx, sy = (1 if dx >= 0 else -1), (1 if dy >= 0 else -1)
     dx, dy = abs(dx), abs(dy)
     if dy > dx:
