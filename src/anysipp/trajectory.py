@@ -34,7 +34,7 @@ class Trajectory:
             raise ValueError("trajectory needs at least one waypoint")
         if not abs(wps[0].arrival) <= 1e-9:
             raise ValueError(f"first arrival must be 0, got {wps[0].arrival}")
-        if not math.isinf(wps[-1].wait):
+        if wps[-1].wait != math.inf:
             raise ValueError("final waypoint must carry an infinite wait")
         for i, wp in enumerate(wps[:-1]):
             if not 0 <= wp.wait < math.inf:

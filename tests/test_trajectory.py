@@ -179,6 +179,8 @@ def test_invalid_trajectories_rejected():
         Trajectory([Waypoint((0, 0), 1.0, math.inf)])  # first arrival not 0
     with pytest.raises(ValueError):
         Trajectory([Waypoint((0, 0), 0.0, 2.0)])  # terminal wait not inf
+    with pytest.raises(ValueError):
+        Trajectory([Waypoint((0, 0), 0.0, -math.inf)])
     with pytest.raises(ValueError):  # zero-length move
         Trajectory([
             Waypoint((0, 0), 0.0, 0.0),
