@@ -55,7 +55,7 @@ class ConstraintTable:
 
     def add_trajectory(self, traj: Trajectory) -> None:
         passes = self._passes
-        for piece in traj.affine_pieces():
+        for piece in traj._pieces_and_starts[0]:
             for cell in swept_cells(piece[2:4], piece[6:8]):
                 passes.setdefault(cell, []).append(piece)
 

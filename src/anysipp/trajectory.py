@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
@@ -26,7 +26,6 @@ class Trajectory:
     waypoint carries an infinite wait."""
 
     waypoints: List[Waypoint]
-    _arrivals: List[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         wps = self.waypoints
@@ -48,30 +47,20 @@ class Trajectory:
                 raise ValueError(
                     f"arrival {nxt.arrival} at waypoint {i+1} inconsistent, expected {expect}"
                 )
-        self._arrivals = [wp.arrival for wp in wps]
 
     def cost(self) -> float:
         """Sum of segment lengths and finite waits; equals the final arrival."""
         return self.waypoints[-1].arrival
 
     def position_at(self, time: float) -> Point:
-        wps = self.waypoints
-        if time >= wps[-1].arrival:
-            gc = wps[-1].cell
-            return (float(gc[0]), float(gc[1]))
-        i = bisect_right(self._arrivals, time) - 1
-        if i < 0:
-            i = 0
-        wp = wps[i]
-        depart = wp.arrival + wp.wait
-        if time <= depart:
-            return (float(wp.cell[0]), float(wp.cell[1]))
-        nxt = wps[i + 1]
-        frac = (time - depart) / (nxt.arrival - depart)
-        return (
-            wp.cell[0] + frac * (nxt.cell[0] - wp.cell[0]),
-            wp.cell[1] + frac * (nxt.cell[1] - wp.cell[1]),
-        )
+        """Position at ``time`` (the start before 0), from the cached pieces."""
+        if math.isnan(time):
+            raise ValueError("position_at needs a time, got nan")
+        pieces, starts = self._pieces_and_starts
+        t0, _, x0, y0, vx, vy, _, _ = pieces[max(bisect_right(starts, time) - 1, 0)]
+        if time <= t0 or (vx == 0.0 and vy == 0.0):
+            return (x0, y0)
+        return (x0 + (time - t0) * vx, y0 + (time - t0) * vy)
 
     def affine_pieces(self) -> List[Tuple[float, ...]]:
         """Maximal (t0, t1, x0, y0, vx, vy, x1, y1) pieces covering [0, inf):
@@ -115,8 +104,9 @@ class Trajectory:
 
     @cached_property
     def _pieces_and_starts(self) -> Tuple[List[Tuple[float, ...]], List[float]]:
-        """affine_pieces() and their start times, computed on first use, so
-        that checking a trajectory against many others decomposes it once."""
+        """affine_pieces() and their start times, computed on first use. The
+        constraint table, the validator and position_at all read these, so
+        each trajectory is decomposed once."""
         pieces = self.affine_pieces()
         return pieces, [p[0] for p in pieces]
 

@@ -1,6 +1,5 @@
 import math
 import random
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -26,7 +25,15 @@ def test_linear_motion_at_unit_speed():
     assert t.position_at(0.0) == (0.0, 0.0)
     assert t.position_at(5.0) == (3.0, 4.0)
     assert t.position_at(99.0) == (3.0, 4.0)
+    assert t.position_at(math.inf) == (3.0, 4.0)
+    assert t.position_at(-2.0) == (0.0, 0.0)
+    assert t.position_at(-math.inf) == (0.0, 0.0)
     assert t.cost() == pytest.approx(5.0)
+
+
+def test_position_at_nan_rejected():
+    with pytest.raises(ValueError):
+        make_traj([(0, 0), (3, 4)]).position_at(math.nan)
 
 
 def test_wait_then_move():
@@ -159,17 +166,16 @@ def test_pieces_tile_time_and_never_continue_a_run():
 
 
 def test_pieces_match_position_at():
+    # position_at reads the maximal pieces; the reference is the oracle's own
+    # per-segment decomposition, at every waypoint arrival and departure and
+    # on a grid of times during and after the motion.
     for t in _random_scenes():
-        pieces = t.affine_pieces()
-        starts = [p[0] for p in pieces]
         times = [wp.arrival for wp in t.waypoints]
         times += [wp.arrival + wp.wait for wp in t.waypoints[:-1]]
         times += list(np.linspace(0.0, t.cost() + 2.0, 57))
-        for tau in times:
-            p = pieces[max(0, bisect_right(starts, tau) - 1)]
-            x = p[2] + p[4] * (tau - p[0])
-            y = p[3] + p[5] * (tau - p[0])
-            assert (x, y) == pytest.approx(t.position_at(tau), abs=1e-9), (tau, p)
+        xs, ys = sample_positions(t, np.array(times))
+        for tau, x, y in zip(times, xs, ys):
+            assert t.position_at(tau) == pytest.approx((x, y), abs=1e-9), tau
 
 
 def test_invalid_trajectories_rejected():

@@ -6,7 +6,8 @@ import pytest
 
 from anysipp.constraints import build_table
 from anysipp.grid import GridMap
-from anysipp.prioritized import Instance
+from anysipp.planner import PlannerMode
+from anysipp.prioritized import Instance, generate_instance, plan_all
 from anysipp.trajectory import Trajectory
 from anysipp.validate import first_conflict, validate_solution
 
@@ -188,3 +189,25 @@ def test_validate_solution_decomposes_each_trajectory_once(monkeypatch):
     validate_solution(inst, trajs)
     assert sorted(calls) == sorted(id(t) for t in trajs)
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("mode", [PlannerMode.anyangle(), PlannerMode.cardinal()],
+                         ids=["aa", "cardinal"])
+def test_planning_and_validating_decompose_each_trajectory_once(monkeypatch, mode):
+    # The constraint table, the validator and position_at share one cached
+    # decomposition per trajectory.
+    decomposed = []
+    original = Trajectory.affine_pieces
+
+    def counting(self):
+        decomposed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Trajectory, "affine_pieces", counting)
+    inst = generate_instance(GridMap.empty(12, 12), 6, seed=3)
+    sol = plan_all(inst, mode)
+    report = validate_solution(inst, sol)
+    assert sol.success and report.ok
+    for traj in sol.trajectories:
+        traj.position_at(traj.cost() / 2)
+    assert sorted(map(id, decomposed)) == sorted(map(id, sol.trajectories))
