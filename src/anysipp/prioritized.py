@@ -201,6 +201,8 @@ def generate_instance(
         agents = list(zip(chosen[:n], chosen[n:]))
         return Instance(grid, agents)
     if protocol == "walk":
+        if walk_steps < 1:
+            raise GenerationError(f"walk needs at least 1 step, got {walk_steps}")
         if n > len(free):
             raise GenerationError(f"{n} starts requested, {len(free)} free cells")
         starts = rng.sample(free, n)

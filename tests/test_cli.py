@@ -244,6 +244,16 @@ def test_main_rejects_timeouts_that_are_not_positive(tmp_path, capsys, value):
     assert out == "" and "--timeout" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_main_rejects_walks_without_steps(tmp_path, capsys, steps):
+    map_path = write_empty_map(tmp_path / "m.map", size=8)
+    argv = ["--map", str(map_path), "--generate", f"walk:{steps}", "--agents", "3",
+            "--mode", "aa"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "step" in err
+
+
 def test_main_accepts_an_infinite_timeout(tmp_path, capsys):
     map_path = write_empty_map(tmp_path / "m.map")
     argv = ["--map", str(map_path), "--generate", "separated", "--agents", "2",

@@ -184,6 +184,13 @@ def test_generation_capacity_errors():
             generate_instance(grid, -1, seed=0, protocol=protocol)
 
 
+@pytest.mark.parametrize("steps", [0, -5])
+def test_walk_needs_at_least_one_step(steps):
+    # With no steps every goal would be its start.
+    with pytest.raises(GenerationError):
+        generate_instance(GridMap.empty(8, 8), 3, seed=0, protocol="walk", walk_steps=steps)
+
+
 def test_walk_goals_are_distinct_and_reachable_cells():
     grid = GridMap.from_blocked(12, 12, [(5, r) for r in range(1, 12)])
     inst = generate_instance(grid, 8, seed=3, protocol="walk", walk_steps=200)
