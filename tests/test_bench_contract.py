@@ -1,0 +1,34 @@
+"""The benchmark's contract, checked from outside ``bench/``.
+
+``bench/layers.py`` hooks library callables by module and attribute name. A
+refactor that moves one of them leaves the traced run exiting 0 with the same
+trajectories, but with metrics silently missing from its last line. This test
+runs the traced ``aa-open64`` workload (about a second) and checks that line
+against the per-layer metrics ``BENCHMARK.json`` declares.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_traced_run_reports_every_declared_per_layer_metric():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "aa-open64",
+         "--seconds", "30", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    result = json.loads(last, parse_constant=_reject_constant)
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
+    assert not missing, f"traced run lacks {missing}"
