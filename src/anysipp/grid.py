@@ -29,7 +29,7 @@ class MapFormatError(ValueError):
 class GridMap:
     """Immutable occupancy grid. Out-of-bounds cells count as blocked."""
 
-    __slots__ = ("width", "height", "_rows", "any_blocked", "_successors")
+    __slots__ = ("width", "height", "_rows", "_free", "any_blocked", "_successors")
 
     def __init__(self, width: int, height: int, rows: List[bytes]):
         if width < 1 or height < 1:
@@ -39,7 +39,10 @@ class GridMap:
         self.width = width
         self.height = height
         self._rows = tuple(bytes(r) for r in rows)
-        self.any_blocked = any(any(r) for r in self._rows)
+        self._free = tuple(
+            (c, r) for r, row in enumerate(self._rows) for c, v in enumerate(row) if not v
+        )
+        self.any_blocked = len(self._free) < width * height
         self._successors = {}
 
     @classmethod
@@ -95,24 +98,9 @@ class GridMap:
             return True
         return self.cells_traversable(swept_cells(a, b))
 
-    def free_cells(self) -> List[Cell]:
-        return [
-            (c, r)
-            for r in range(self.height)
-            for c in range(self.width)
-            if not self._rows[r][c]
-        ]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GridMap)
-            and self.width == other.width
-            and self.height == other.height
-            and self._rows == other._rows
-        )
-
-    def __hash__(self):
-        return hash((self.width, self.height, self._rows))
+    def free_cells(self) -> Tuple[Cell, ...]:
+        """The traversable cells, row-major: a tuple computed once per map."""
+        return self._free
 
     def __repr__(self):
         return f"GridMap({self.width}x{self.height}, blocked={self.any_blocked})"

@@ -383,9 +383,12 @@ def plan(
     obstacle trajectories.
 
     The goal state is accepted only in a safe interval that is unbounded
-    above, since the agent parks there forever. Raises StartUnsafe,
-    GoalUnreachable, or PlanTimeout.
+    above, since the agent parks there forever. A prebuilt ``table`` takes
+    the place of ``obstacles``, so passing both raises ValueError. Raises
+    StartUnsafe, GoalUnreachable, or PlanTimeout.
     """
+    if table is not None and obstacles:
+        raise ValueError("pass obstacles or a prebuilt table, not both")
     start = tuple(start)
     goal = tuple(goal)
     if not grid.is_traversable(start):

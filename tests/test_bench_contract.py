@@ -2,9 +2,11 @@
 
 ``bench/layers.py`` hooks library callables by module and attribute name. A
 refactor that moves one of them leaves the traced run exiting 0 with the same
-trajectories, but with metrics silently missing from its last line. This test
-runs the traced ``aa-open64`` workload (about a second) and checks that line
-against the per-layer metrics ``BENCHMARK.json`` declares.
+trajectories, but with its hook absent and its time silently counted in
+another layer, or with metrics missing from the last line. This test runs the
+traced ``aa-open64`` workload (about a second) and checks the absent layers it
+names and its last line against the per-layer metrics ``BENCHMARK.json``
+declares.
 """
 
 import json
@@ -13,6 +15,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ABSENT_PREFIX = "absent layers (hook target missing, metrics left out): "
+# departure_guards was deleted from the library; bench/layers.py still hooks
+# it, so every traced run names it absent.
+STALE_HOOKS = {"constraints.departure_guards"}
 
 
 def _reject_constant(name):
@@ -26,7 +32,14 @@ def test_traced_run_reports_every_declared_per_layer_metric():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    last = proc.stdout.strip().splitlines()[-1]
+    lines = proc.stdout.strip().splitlines()
+    absent = [
+        name
+        for line in lines if line.startswith(ABSENT_PREFIX)
+        for name in line[len(ABSENT_PREFIX):].split(", ")
+    ]
+    assert set(absent) <= STALE_HOOKS, f"traced run lost the hooks {absent}"
+    last = lines[-1]
     result = json.loads(last, parse_constant=_reject_constant)
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]

@@ -72,6 +72,40 @@ def test_out_of_bounds_is_blocked():
     assert not g.is_traversable((0, 8))
 
 
+def _random_blocked(width, height, share, seed):
+    rng = random.Random(seed)
+    cells = [(c, r) for r in range(height) for c in range(width)]
+    return GridMap.from_blocked(width, height, rng.sample(cells, round(share * len(cells))))
+
+
+FREE_CELL_GRIDS = [
+    pytest.param(GridMap.empty(5, 3), id="empty"),
+    pytest.param(GridMap.from_blocked(4, 4, [(2, 1)]), id="one-blocked"),
+    pytest.param(parse_map(make_map(".G@T\nOSW.\n..@.")), id="parsed"),
+    pytest.param(parse_map(make_map("@@\n@@")), id="parsed-all-blocked"),
+] + [
+    pytest.param(_random_blocked(9, 6, share, seed), id=f"random-{share}-{seed}")
+    for share in (0.0, 0.2, 0.5, 1.0)
+    for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("g", FREE_CELL_GRIDS)
+def test_free_cells_and_any_blocked_match_a_scan_of_the_map(g):
+    scan = [
+        (c, r) for r in range(g.height) for c in range(g.width) if g.is_traversable((c, r))
+    ]
+    cells = g.free_cells()
+    assert list(cells) == scan
+    assert g.free_cells() == cells
+    assert g.any_blocked == (len(scan) < g.width * g.height)
+    # a caller cannot change the map through the cells it was handed
+    assert isinstance(cells, tuple) and all(isinstance(c, tuple) for c in cells)
+    if cells:
+        with pytest.raises(TypeError):
+            cells[0] = (g.width, g.height)
+
+
 def test_move_feasible_straight_on_empty_grid():
     g = GridMap.empty(8, 8)
     assert g.move_is_feasible((0, 0), (5, 0))

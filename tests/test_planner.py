@@ -118,6 +118,19 @@ def test_goal_parked_on_forever_is_unreachable():
         plan(GridMap.empty(5, 5), [make_traj([(4, 4)])], (0, 0), (4, 4), AA)
 
 
+def test_obstacles_and_a_prebuilt_table_are_not_both_accepted():
+    # A table replaces the obstacles, so accepting both would drop them and
+    # plan straight through the crossing agent.
+    grid = GridMap.empty(8, 8)
+    obstacle = make_traj([(4, 7), (4, 0)])
+    assert first_conflict(plan(grid, [], (0, 4), (7, 4), AA), obstacle) is not None
+    with pytest.raises(ValueError, match="not both"):
+        plan(grid, [obstacle], (0, 4), (7, 4), AA, table=build_table([]))
+    via_table = plan(grid, (), (0, 4), (7, 4), AA, table=build_table([obstacle]))
+    assert via_table.waypoints == plan(grid, [obstacle], (0, 4), (7, 4), AA).waypoints
+    assert_clear_of(via_table, [obstacle])
+
+
 @pytest.mark.parametrize("mode", [AA, CARDINAL])
 def test_goal_never_free_for_good_fails_before_any_expansion(mode):
     # An obstacle parks on the goal from the start, or arrives there later
