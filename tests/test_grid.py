@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from anysipp.grid import GridMap, MapFormatError, parse_map
+from anysipp.grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap, MapFormatError, parse_map
 from anysipp.geometry import swept_cells
 
 from oracles import sampled_swept_cells
@@ -104,6 +104,36 @@ def test_free_cells_and_any_blocked_match_a_scan_of_the_map(g):
     if cells:
         with pytest.raises(TypeError):
             cells[0] = (g.width, g.height)
+
+
+def _corner_rule_successors(g, steps, cell):
+    """Reference successor rule: a step is kept when the cell, its end and,
+    for a diagonal, both cells at the corner it passes are in bounds and
+    free."""
+    free = g.is_traversable
+    c, r = cell
+    if not free(cell):
+        return ()
+    return tuple(
+        (c + dx, r + dy)
+        for dx, dy in steps
+        if free((c + dx, r + dy))
+        and (not (dx and dy) or (free((c + dx, r)) and free((c, r + dy))))
+    )
+
+
+@pytest.mark.parametrize("steps", [CARDINAL_STEPS, OCTILE_STEPS], ids=["cardinal", "octile"])
+def test_successor_table_matches_the_corner_rule(steps):
+    for seed in range(100):
+        rng = random.Random(seed)
+        width, height = rng.randint(1, 9), rng.randint(1, 9)
+        g = _random_blocked(width, height, rng.choice((0.0, 0.1, 0.3, 0.6, 1.0)), seed)
+        table = g.successors(steps)
+        assert g.successors(list(steps)) is table
+        # one ring of out-of-bounds cells around the map, which are blocked
+        for r in range(-1, height + 1):
+            for c in range(-1, width + 1):
+                assert table[(c, r)] == _corner_rule_successors(g, steps, (c, r)), (seed, c, r)
 
 
 def test_move_feasible_straight_on_empty_grid():
