@@ -25,6 +25,7 @@ from oracles import blocked_grid
 
 GOLDEN = Path(__file__).with_name("golden_trajectories.json")
 MODES = {"aa": PlannerMode.anyangle(), "cardinal": PlannerMode.cardinal()}
+PAPER_SCALE_AGENTS = (150, 250)
 
 
 @lru_cache(maxsize=None)
@@ -39,6 +40,12 @@ def instances():
         "empty16-walk": generate_instance(empty16, 12, seed=15, protocol="walk", walk_steps=40),
         "blocked64-separated": generate_instance(blocked_grid(64, 0.2, seed=1), 40, seed=16,
                                                  protocol="separated"),
+        # Paper scale, seed 0: about a minute together, most of it the
+        # 250-agent any-angle run, so CI runs them with the slow tests.
+        **{
+            f"empty64-separated-{n}": generate_instance(GridMap.empty(64, 64), n, 0, "separated")
+            for n in PAPER_SCALE_AGENTS
+        },
     }
 
 
@@ -68,7 +75,14 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", [f"{i}/{m}" for i in instances() for m in MODES])
+def _cases():
+    for i in instances():
+        marks = [pytest.mark.slow] if i.startswith("empty64-") else []
+        for m in MODES:
+            yield pytest.param(f"{i}/{m}", marks=marks)
+
+
+@pytest.mark.parametrize("name", _cases())
 def test_golden_trajectories(golden, name):
     instance_name, mode_name = name.split("/")
     got = record(instances()[instance_name], MODES[mode_name])
