@@ -150,10 +150,10 @@ def summarize(records: Sequence[RunRecord], modes: Sequence[str]) -> Dict:
         },
     }
     summary = {"per_mode": per_mode, "common": common}
-    if common_ids and "aa" in modes and "cardinal" in modes:
-        aa = common["mean_cost"]["aa"]
-        card = common["mean_cost"]["cardinal"]
-        summary["aa_cost_reduction_vs_cardinal"] = (card - aa) / card
+    # None without common instances; 0 when every agent starts at its goal.
+    card = common["mean_cost"].get("cardinal")
+    if card and "aa" in modes:
+        summary["aa_cost_reduction_vs_cardinal"] = (card - common["mean_cost"]["aa"]) / card
     return summary
 
 

@@ -156,6 +156,21 @@ def test_main_scen_input(tmp_path):
     assert len(records) == 1 and records[0].agents == 2 and records[0].success
 
 
+def test_main_zero_cost_instance_writes_a_summary(tmp_path):
+    # every agent starts at its goal, so both modes' mean cost is 0
+    map_path = write_empty_map(tmp_path / "empty4.map", size=4)
+    agents = tmp_path / "still.txt"
+    agents.write_text("agents 2\n0 0 0 0\n3 3 3 3\n")
+    out = tmp_path / "z"
+    rc = main(["--map", str(map_path), "--scen", str(agents), "--mode", "both",
+               "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "z.json").read_text())["summary"]
+    assert summary["common"]["mean_cost"] == {"aa": 0.0, "cardinal": 0.0}
+    assert "aa_cost_reduction_vs_cardinal" not in summary
+    assert len(parse_csv((tmp_path / "z.csv").read_text())) == 2
+
+
 def test_main_trace_output(tmp_path):
     map_path = write_empty_map(tmp_path / "m.map")
     rc = main([
