@@ -3,8 +3,8 @@
 ``bench/layers.py`` hooks library callables by module and attribute name. A
 refactor that moves one of them leaves the traced run exiting 0 with the same
 trajectories, but with its hook absent and its time silently counted in
-another layer, or with metrics missing from the last line. This test runs the
-traced ``aa-open64`` workload (about a second) and checks the absent layers it
+another layer, or with metrics missing from the last line. This test runs
+each workload traced (a few seconds each) and checks the absent layers it
 names and its last line against the per-layer metrics ``BENCHMARK.json``
 declares.
 """
@@ -13,6 +13,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 ABSENT_PREFIX = "absent layers (hook target missing, metrics left out): "
@@ -25,9 +27,10 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def test_traced_run_reports_every_declared_per_layer_metric():
+@pytest.mark.parametrize("workload", ["aa-open64", "cardinal-open64", "aa-blocked64"])
+def test_traced_run_reports_every_declared_per_layer_metric(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "aa-open64",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seconds", "30", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )

@@ -25,7 +25,6 @@ from oracles import blocked_grid
 
 GOLDEN = Path(__file__).with_name("golden_trajectories.json")
 MODES = {"aa": PlannerMode.anyangle(), "cardinal": PlannerMode.cardinal()}
-PAPER_SCALE_AGENTS = (150, 250)
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +43,7 @@ def instances():
         # 250-agent any-angle run, so CI runs them with the slow tests.
         **{
             f"empty64-separated-{n}": generate_instance(GridMap.empty(64, 64), n, 0, "separated")
-            for n in PAPER_SCALE_AGENTS
+            for n in (150, 250)
         },
     }
 
@@ -75,14 +74,10 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def _cases():
-    for i in instances():
-        marks = [pytest.mark.slow] if i.startswith("empty64-") else []
-        for m in MODES:
-            yield pytest.param(f"{i}/{m}", marks=marks)
-
-
-@pytest.mark.parametrize("name", _cases())
+@pytest.mark.parametrize("name", [
+    pytest.param(f"{i}/{m}", marks=pytest.mark.slow if i.startswith("empty64-") else ())
+    for i in instances() for m in MODES
+])
 def test_golden_trajectories(golden, name):
     instance_name, mode_name = name.split("/")
     got = record(instances()[instance_name], MODES[mode_name])
