@@ -3,7 +3,7 @@
 The table keeps one model of the obstacle trajectories, their affine pieces
 (see ``Trajectory.affine_pieces``) indexed by the cells they sweep, and
 offers two exact views of it. Both test one conflict, a squared center
-distance below ``_WINDOW_R2``, by the chord a line cuts from that disk:
+distance below ``_WINDOW_R2``, with the one chord solver ``_chord``:
 
 * per-cell *safe intervals*, the time windows during which an agent parked at
   a cell center keeps its center at least one diameter from every obstacle
@@ -75,12 +75,23 @@ def build_table(obstacles: Sequence[Trajectory]) -> ConstraintTable:
     return table
 
 
+def _chord(rx: float, ry: float, vx: float, vy: float, vv: float):
+    """The open range (lo, hi) of k with |r - k*v|^2 < _WINDOW_R2, or None:
+    the chord the line r - k*v cuts from the disk. vv = |v|^2 > 0."""
+    h = rx * vy - ry * vx
+    disc = vv * _WINDOW_R2 - h * h
+    if disc <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    mid = rx * vx + ry * vy
+    return (mid - root) / vv, (mid + root) / vv
+
+
 def _piece_windows(cx: float, cy: float, pieces) -> List[Tuple[float, float]]:
     """Time windows during which a piece p + w*v keeps the obstacle center in
     conflict with c = (cx, cy), |c - p - w*v|^2 < _WINDOW_R2: one chord of w,
-    solved as on the s = 0 edge of _departure_window and cut to the piece's
-    span. A wait or the terminal stay is inside for its whole span or not at
-    all."""
+    cut to the piece's span. A wait or the terminal stay is inside for its
+    whole span or not at all."""
     r2 = _WINDOW_R2
     windows = []
     for t0, t1, px, py, vx, vy, _, _ in pieces:
@@ -90,17 +101,12 @@ def _piece_windows(cx: float, cy: float, pieces) -> List[Tuple[float, float]]:
                 continue
             lo, hi = t0, t1
         else:
-            vv = vx * vx + vy * vy
-            h = rx * vy - ry * vx
-            disc = vv * r2 - h * h
-            if disc <= 0.0:
+            chord = _chord(rx, ry, vx, vy, vx * vx + vy * vy)
+            if chord is None:
                 continue
-            root = math.sqrt(disc)
-            mid = rx * vx + ry * vy
-            w = (mid - root) / vv
-            lo = t0 + w if w > 0.0 else t0
-            w = (mid + root) / vv
-            hi = t0 + w if w < t1 - t0 else t1
+            w_lo, w_hi = chord
+            lo = t0 + w_lo if w_lo > 0.0 else t0
+            hi = t0 + w_hi if w_hi < t1 - t0 else t1
         if hi - lo > TOL:
             windows.append((lo, hi))
     return windows
@@ -184,14 +190,12 @@ def _departure_window(ax, ay, ux, uy, length, piece):
         # A wait or the terminal stay: the conflicting part of the agent's
         # path is one chord (s_lo, s_hi), and it conflicts at any departure
         # that puts the piece's span over the chord.
-        h = cx * uy - cy * ux
-        disc = r2 - h * h
-        if disc <= 0.0:
+        chord = _chord(cx, cy, -ux, -uy, 1.0)
+        if chord is None:
             return None
-        root = math.sqrt(disc)
-        mid = -(cx * ux + cy * uy)
-        s_lo = mid - root if mid - root > 0.0 else 0.0
-        s_hi = mid + root if mid + root < length else length
+        s_lo, s_hi = chord
+        s_lo = s_lo if s_lo > 0.0 else 0.0
+        s_hi = s_hi if s_hi < length else length
         if s_hi <= s_lo:
             return None
         return t0 - s_hi, t1 - s_lo
@@ -205,29 +209,19 @@ def _departure_window(ax, ay, ux, uy, length, piece):
         (ex, ey, t1), (ex + length * ux, ey + length * uy, t1 - length),
     )
     ds = [d for rx, ry, d in corners if rx * rx + ry * ry < r2]
-    # Edges w = 0 and w = span: |r + s*u|^2 = r2 for s in [0, L].
+    # Edges w = 0 and w = span: |r - s*(-u)|^2 = r2 for s in [0, L].
     s_max = length + TOL
     for rx, ry, base in ((cx, cy, t0), (ex, ey, t1)):
-        h = rx * uy - ry * ux
-        disc = r2 - h * h
-        if disc > 0.0:
-            root = math.sqrt(disc)
-            mid = -(rx * ux + ry * uy)
-            for s in (mid - root, mid + root):
-                if -TOL <= s <= s_max:
-                    ds.append(base - s)
+        for s in _chord(rx, ry, -ux, -uy, 1.0) or ():
+            if -TOL <= s <= s_max:
+                ds.append(base - s)
     # Edges s = 0 and s = L: |r - w*v|^2 = r2 for w in [0, span].
     vv = vx * vx + vy * vy
     w_max = span + TOL
     for rx, ry, base in ((cx, cy, t0), (lx, ly, t0 - length)):
-        h = rx * vy - ry * vx
-        disc = vv * r2 - h * h
-        if disc > 0.0:
-            root = math.sqrt(disc)
-            mid = rx * vx + ry * vy
-            for w in ((mid - root) / vv, (mid + root) / vv):
-                if -TOL <= w <= w_max:
-                    ds.append(base + w)
+        for w in _chord(rx, ry, vx, vy, vv) or ():
+            if -TOL <= w <= w_max:
+                ds.append(base + w)
     # The ellipse's d-extreme points: c + s*u - w*v = +-rho * n with n the
     # unit normal of u - v, solved for (s, w) by Cramer's rule.
     k = ux * vy - uy * vx

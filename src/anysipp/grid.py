@@ -79,10 +79,9 @@ class GridMap:
     def successors(self, steps: Sequence[Cell]) -> "_Successors":
         """The map's successor table for a step set: indexed by a cell, it
         gives the cells one step away that a disk can slide to, in step
-        order. A step is kept when the cell, its end and, for a diagonal, the
-        two cells at the corner it passes are traversable. Each cell's entry
-        is filled on first use and kept for the map's life, one table per
-        step set."""
+        order: a step is kept when :meth:`move_is_feasible` admits it. Each
+        cell's entry is filled on first use and kept for the map's life, one
+        table per step set."""
         steps = tuple(steps)
         table = self._successors.get(steps)
         if table is None:
@@ -117,16 +116,11 @@ class _Successors(dict):
         self.steps = steps
 
     def __missing__(self, cell) -> Tuple[Cell, ...]:
-        free = self.grid.is_traversable
+        feasible = self.grid.move_is_feasible
         c, r = cell
-        out = ()
-        if free(cell):
-            out = tuple(
-                (c + dx, r + dy)
-                for dx, dy in self.steps
-                if free((c + dx, r + dy))
-                and (not (dx and dy) or (free((c + dx, r)) and free((c, r + dy))))
-            )
+        out = tuple(
+            (c + dx, r + dy) for dx, dy in self.steps if feasible(cell, (c + dx, r + dy))
+        )
         self[cell] = out
         return out
 
