@@ -13,6 +13,7 @@ from anysipp.prioritized import (
     load_agents,
     plan_all,
 )
+from anysipp.trajectory import Trajectory
 from anysipp.validate import validate_solution
 
 AA = PlannerMode.anyangle()
@@ -86,6 +87,30 @@ def test_unreachable_agent_reported_and_rest_skipped():
     assert not sol.success
     assert sol.statuses == ["ok", "unreachable", "skipped"]
     assert sol.total_cost is None
+
+
+def test_failed_chain_keeps_one_entry_per_agent():
+    # The failed agent keeps its partial trace; the skipped one has none.
+    grid = GridMap.from_blocked(5, 5, [(1, 0), (1, 1), (0, 2)])
+    inst = Instance(grid, [((4, 4), (4, 0)), ((3, 3), (0, 0)), ((2, 2), (2, 0))])
+    sol = plan_all(inst, AA, collect_traces=True)
+    assert sol.statuses == ["ok", "unreachable", "skipped"]
+    assert isinstance(sol.trajectories[0], Trajectory)
+    assert sol.trajectories[1:] == [None, None]
+    assert sol.total_cost is None
+    assert len(sol.traces) == 3
+    assert isinstance(sol.traces[0], list) and sol.traces[0]
+    assert isinstance(sol.traces[1], list) and sol.traces[1]
+    assert sol.traces[2] is None
+    assert plan_all(inst, AA).traces is None
+
+    # A deadline that has passed before the first search: an empty trace for
+    # the timed-out agent, None for the rest.
+    timed_out = generate_instance(GridMap.empty(16, 16), 4, seed=5, protocol="separated")
+    sol = plan_all(timed_out, AA, timeout=1e-9, collect_traces=True)
+    assert sol.statuses == ["timeout", "skipped", "skipped", "skipped"]
+    assert sol.trajectories == [None] * 4
+    assert sol.traces == [[], None, None, None]
 
 
 # ------------------------------------------------------------------ WFI
