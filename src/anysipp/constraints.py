@@ -23,7 +23,7 @@ all the pieces it can meet.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .geometry import Cell, swept_cells
 from .trajectory import Trajectory
@@ -49,9 +49,11 @@ class ConstraintTable:
     sweep. Built incrementally: each trajectory is added once, as soon as it
     is planned."""
 
-    def __init__(self):
+    def __init__(self, trajectories: Iterable[Trajectory] = ()):
         # Affine pieces (see Trajectory.affine_pieces) by the cells they touch.
         self._passes: Dict[Cell, list] = {}
+        for traj in trajectories:
+            self.add_trajectory(traj)
 
     def add_trajectory(self, traj: Trajectory) -> None:
         passes = self._passes
@@ -66,13 +68,6 @@ class ConstraintTable:
         cx, cy = float(cell[0]), float(cell[1])
         windows = _merge(_piece_windows(cx, cy, pieces))
         return _complement(windows)
-
-
-def build_table(obstacles: Sequence[Trajectory]) -> ConstraintTable:
-    table = ConstraintTable()
-    for traj in obstacles:
-        table.add_trajectory(traj)
-    return table
 
 
 def _chord(rx: float, ry: float, vx: float, vy: float, vv: float):

@@ -58,10 +58,6 @@ class GridMap:
             rows[r][c] = 1
         return cls(width, height, [bytes(r) for r in rows])
 
-    def in_bounds(self, cell) -> bool:
-        c, r = cell
-        return 0 <= c < self.width and 0 <= r < self.height
-
     def is_traversable(self, cell) -> bool:
         c, r = cell
         if not (0 <= c < self.width and 0 <= r < self.height):
@@ -91,7 +87,8 @@ class GridMap:
     def move_is_feasible(self, a, b) -> bool:
         """True iff a disk of radius 0.5 can slide straight from a to b
         without touching a blocked (or out-of-bounds) cell."""
-        if not (self.in_bounds(a) and self.in_bounds(b)):
+        w, h = self.width, self.height
+        if not (0 <= a[0] < w and 0 <= a[1] < h and 0 <= b[0] < w and 0 <= b[1] < h):
             return False
         if not self.any_blocked:
             return True

@@ -38,13 +38,12 @@ import math
 import time as _time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple, Union
 
 from .constraints import (
     TOL,
     ConstraintTable,
     TimeInterval,
-    build_table,
     collision_intervals_for_move,
     earliest_arrival,
     _relevant_from_cells,
@@ -370,25 +369,22 @@ def reconstruct(goal_state: SearchState) -> Trajectory:
 
 def plan(
     grid: GridMap,
-    obstacles: Sequence[Trajectory],
+    obstacles: Union[Iterable[Trajectory], ConstraintTable],
     start: Cell,
     goal: Cell,
     mode: PlannerMode = PlannerMode.anyangle(),
     *,
-    table: Optional[ConstraintTable] = None,
     deadline: Optional[float] = None,
     trace: Optional[list] = None,
 ) -> Trajectory:
-    """Plan a conflict-free trajectory from start to goal around the given
-    obstacle trajectories.
+    """Plan a conflict-free trajectory from start to goal around the
+    obstacle trajectories, given as a sequence or as a ConstraintTable that
+    holds them.
 
     The goal state is accepted only in a safe interval that is unbounded
-    above, since the agent parks there forever. A prebuilt ``table`` takes
-    the place of ``obstacles``, so passing both raises ValueError. Raises
-    StartUnsafe, GoalUnreachable, or PlanTimeout.
+    above, since the agent parks there forever. Raises StartUnsafe,
+    GoalUnreachable, or PlanTimeout.
     """
-    if table is not None and obstacles:
-        raise ValueError("pass obstacles or a prebuilt table, not both")
     start = tuple(start)
     goal = tuple(goal)
     if not grid.is_traversable(start):
@@ -397,7 +393,7 @@ def plan(
         raise GoalUnreachable(f"goal {goal} is blocked or out of bounds")
     if deadline is not None and _time.monotonic() > deadline:
         raise PlanTimeout("deadline exceeded before search start")
-    if table is None:
-        table = build_table(obstacles or [])
-    search = Search(grid, table, goal, mode, deadline=deadline, trace=trace)
+    if not isinstance(obstacles, ConstraintTable):
+        obstacles = ConstraintTable(obstacles)
+    search = Search(grid, obstacles, goal, mode, deadline=deadline, trace=trace)
     return reconstruct(search.run(start))

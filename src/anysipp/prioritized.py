@@ -91,36 +91,24 @@ def plan_all(
     priority trajectories. The first failure aborts the chain; remaining
     agents are marked skipped."""
     deadline = _time.monotonic() + timeout if timeout is not None else None
+    n = instance.n_agents
     table = ConstraintTable()
-    trajectories: List[Optional[Trajectory]] = []
-    statuses: List[str] = []
-    traces: Optional[List[Optional[list]]] = [] if collect_traces else None
-    failed = False
-    for start, goal in instance.agents:
-        if failed:
-            trajectories.append(None)
-            statuses.append(STATUS_SKIPPED)
-            if traces is not None:
-                traces.append(None)
-            continue
+    trajectories: List[Optional[Trajectory]] = [None] * n
+    statuses = [STATUS_SKIPPED] * n
+    traces: Optional[List[Optional[list]]] = [None] * n if collect_traces else None
+    for i, (start, goal) in enumerate(instance.agents):
         trace = [] if collect_traces else None
-        try:
-            traj = plan(
-                instance.grid, (), start, goal, mode,
-                table=table, deadline=deadline, trace=trace,
-            )
-        except PlanningError as exc:
-            trajectories.append(None)
-            statuses.append(_FAILURE_STATUS[type(exc)])
-            failed = True
-        else:
-            trajectories.append(traj)
-            statuses.append(STATUS_OK)
-            table.add_trajectory(traj)
         if traces is not None:
-            traces.append(trace)
-    total = sum(t.cost() for t in trajectories) if not failed else None
-    return Solution(trajectories, statuses, total, traces)
+            traces[i] = trace
+        try:
+            traj = plan(instance.grid, table, start, goal, mode, deadline=deadline, trace=trace)
+        except PlanningError as exc:
+            statuses[i] = _FAILURE_STATUS[type(exc)]
+            return Solution(trajectories, statuses, None, traces)
+        trajectories[i] = traj
+        statuses[i] = STATUS_OK
+        table.add_trajectory(traj)
+    return Solution(trajectories, statuses, sum(t.cost() for t in trajectories), traces)
 
 
 @dataclass

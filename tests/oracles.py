@@ -334,7 +334,7 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
     the exact tick oracle above."""
     from anysipp.constraints import (
         _relevant_from_cells,
-        build_table,
+        ConstraintTable,
         collision_intervals_for_move,
         earliest_arrival,
         TimeInterval,
@@ -347,7 +347,7 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
     start = tuple(start)
     goal = tuple(goal)
     obstacles = list(obstacles)
-    table = build_table(obstacles)
+    table = ConstraintTable(obstacles)
     intervals = {}
     cols_cache = {}
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anysipp.constraints import build_table
+from anysipp.constraints import ConstraintTable
 from anysipp.cli import BenchConfig, run_benchmark
 from anysipp.geometry import swept_cells
 from anysipp.grid import GridMap, parse_map
@@ -222,7 +222,7 @@ def test_criterion_7_geometry_oracles():
     for _ in range(1000):
         obstacles = [random_trajectory(rng, size=16, max_moves=3)]
         cell = (rng.randrange(16), rng.randrange(16))
-        ivs = build_table(obstacles).safe_intervals_at(cell)
+        ivs = ConstraintTable(obstacles).safe_intervals_at(cell)
         t_end = obstacles[0].cost() + 2.0
         times = np.arange(0.0, t_end, step)
         occ = occupied_mask(cell, obstacles, times)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from anysipp.constraints import (
+    ConstraintTable,
     TimeInterval,
     _relevant_from_cells,
-    build_table,
     collision_intervals_for_move,
     earliest_arrival,
 )
@@ -32,7 +32,7 @@ def move_pieces(a, b, table):
 
 
 def move_windows(a, b, obstacles):
-    return collision_intervals_for_move(a, b, move_pieces(a, b, build_table(obstacles)))
+    return collision_intervals_for_move(a, b, move_pieces(a, b, ConstraintTable(obstacles)))
 
 
 def assert_windows(ivs, expected):
@@ -45,7 +45,7 @@ def assert_windows(ivs, expected):
 
 def test_table_indexes_straight_pass():
     obstacle = make_traj([(0, 2), (4, 2)])
-    (piece,) = _relevant_from_cells([(2, 2)], build_table([obstacle]))
+    (piece,) = _relevant_from_cells([(2, 2)], ConstraintTable([obstacle]))
     t0, t1, x0, y0, vx, vy, _, _ = piece
     assert (t0, t1) == (0.0, 4.0)
     # the pass reaches the cell center at time 2
@@ -89,7 +89,7 @@ def test_table_goal_constraint_is_half_infinite():
 
 def test_safe_intervals_crossing_obstacle():
     obs = make_traj([(-5, 0), (5, 0)])
-    ivs = build_table([obs]).safe_intervals_at((0, 0))
+    ivs = ConstraintTable([obs]).safe_intervals_at((0, 0))
     assert len(ivs) == 2
     assert ivs[0] == pytest.approx((0.0, 4.0))
     assert ivs[1].start == pytest.approx(6.0)
@@ -97,22 +97,22 @@ def test_safe_intervals_crossing_obstacle():
 
 
 def test_safe_intervals_empty_scene():
-    assert build_table([]).safe_intervals_at((0, 0)) == (TimeInterval(0.0, INF),)
+    assert ConstraintTable([]).safe_intervals_at((0, 0)) == (TimeInterval(0.0, INF),)
 
 
 def test_safe_intervals_merge_back_to_back_obstacles():
     first = make_traj([(-5, 0), (5, 0)])
     second = make_traj([(-5, 0), (5, 0)], waits=[2.0, 0.0])
-    ivs = build_table([first, second]).safe_intervals_at((0, 0))
+    ivs = ConstraintTable([first, second]).safe_intervals_at((0, 0))
     assert len(ivs) == 2
     assert ivs[0] == pytest.approx((0.0, 4.0))
     assert ivs[1].start == pytest.approx(8.0)
 
 
 def test_safe_intervals_parked_obstacle_blocks_forever():
-    assert build_table([make_traj([(3, 3)])]).safe_intervals_at((3, 3)) == ()
+    assert ConstraintTable([make_traj([(3, 3)])]).safe_intervals_at((3, 3)) == ()
     # a neighbor center sits exactly one diameter away: legal forever
-    assert build_table([make_traj([(3, 3)])]).safe_intervals_at((4, 3)) == (TimeInterval(0.0, INF),)
+    assert ConstraintTable([make_traj([(3, 3)])]).safe_intervals_at((4, 3)) == (TimeInterval(0.0, INF),)
 
 
 def test_safe_intervals_are_clear_and_tight():
@@ -124,7 +124,7 @@ def test_safe_intervals_are_clear_and_tight():
     bounds = 0
     for _ in range(60):
         obstacles = [random_trajectory(rng, size=8) for _ in range(rng.randint(1, 3))]
-        table = build_table(obstacles)
+        table = ConstraintTable(obstacles)
         for cell in ((x, y) for x in range(8) for y in range(8)):
             def closest(t0, t1):
                 return min(_min_dist_affine(*cell, 0.0, 0.0, t0, t1, ob) for ob in obstacles)
@@ -147,7 +147,7 @@ def test_safe_intervals_agree_with_sampled_occupancy():
     for _ in range(150):
         obstacles = [random_trajectory(rng) for _ in range(rng.randint(1, 2))]
         cell = (rng.randrange(16), rng.randrange(16))
-        ivs = build_table(obstacles).safe_intervals_at(cell)
+        ivs = ConstraintTable(obstacles).safe_intervals_at(cell)
         t_end = max(ob.cost() for ob in obstacles) + 3.0
         times = np.arange(0.0, t_end, step)
         occ = occupied_mask(cell, obstacles, times)
@@ -169,12 +169,12 @@ def test_safe_intervals_agree_with_sampled_occupancy():
 
 def test_crossing_obstacle_constraint_is_relevant():
     obstacle = make_traj([(2, 0), (2, 4)])
-    pieces = move_pieces((0, 2), (4, 2), build_table([obstacle]))
+    pieces = move_pieces((0, 2), (4, 2), ConstraintTable([obstacle]))
     assert obstacle.affine_pieces()[0] in pieces
 
 
 def test_parallel_far_obstacle_shares_no_cell():
-    table = build_table([make_traj([(0, 5), (4, 5)])])
+    table = ConstraintTable([make_traj([(0, 5), (4, 5)])])
     assert move_pieces((0, 2), (4, 2), table) == []
 
 
@@ -193,7 +193,7 @@ def test_window_ignores_touch_at_one_diameter():
 
 
 def test_relevant_constraints_deduplicate():
-    table = build_table([make_traj([(0, 0), (6, 0)], waits=[2.0, 0.0])])
+    table = ConstraintTable([make_traj([(0, 0), (6, 0)], waits=[2.0, 0.0])])
     pieces = move_pieces((0, 0), (6, 0), table)
     assert len(pieces) == len(set(pieces)) == 3
 
@@ -328,7 +328,7 @@ def run_soundness_trials(seed, trials, size=16):
         b = (rng.randrange(size), rng.randrange(size))
         if a == b:
             continue
-        table = build_table([obstacle])
+        table = ConstraintTable([obstacle])
         ivs_a = table.safe_intervals_at(a)
         if not ivs_a or ivs_a[0].start > 0:
             continue

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from anysipp import planner
-from anysipp.constraints import TOL, build_table
+from anysipp.constraints import TOL, ConstraintTable
 from anysipp.geometry import swept_cells
 from anysipp.grid import GridMap
 from anysipp.planner import (
@@ -95,7 +95,7 @@ def test_cardinal_cost_never_above_exact_tick_oracle():
         try:
             cost = plan(grid, [obstacle], start, goal, CARDINAL).cost()
         except StartUnsafe:
-            first = build_table([obstacle]).safe_intervals_at(start)[:1]
+            first = ConstraintTable([obstacle]).safe_intervals_at(start)[:1]
             assert not first or first[0].start > 0.0
             continue
         oracle = time_expanded_exact_best_cost(grid, [obstacle], start, goal)
@@ -118,15 +118,11 @@ def test_goal_parked_on_forever_is_unreachable():
         plan(GridMap.empty(5, 5), [make_traj([(4, 4)])], (0, 0), (4, 4), AA)
 
 
-def test_obstacles_and_a_prebuilt_table_are_not_both_accepted():
-    # A table replaces the obstacles, so accepting both would drop them and
-    # plan straight through the crossing agent.
+def test_a_prebuilt_table_plans_like_its_obstacles():
     grid = GridMap.empty(8, 8)
     obstacle = make_traj([(4, 7), (4, 0)])
     assert first_conflict(plan(grid, [], (0, 4), (7, 4), AA), obstacle) is not None
-    with pytest.raises(ValueError, match="not both"):
-        plan(grid, [obstacle], (0, 4), (7, 4), AA, table=build_table([]))
-    via_table = plan(grid, (), (0, 4), (7, 4), AA, table=build_table([obstacle]))
+    via_table = plan(grid, ConstraintTable([obstacle]), (0, 4), (7, 4), AA)
     assert via_table.waypoints == plan(grid, [obstacle], (0, 4), (7, 4), AA).waypoints
     assert_clear_of(via_table, [obstacle])
 
@@ -141,7 +137,7 @@ def test_goal_never_free_for_good_fails_before_any_expansion(mode):
         ([make_traj([(20, 20)])], (20, 20)),
         ([make_traj([(20, 25), (20, 10)])], (20, 10)),
     ):
-        search = Search(grid, build_table(obstacles), goal, mode)
+        search = Search(grid, ConstraintTable(obstacles), goal, mode)
         with pytest.raises(GoalUnreachable):
             search.run((0, 0))
         assert search.expansions == 0
@@ -171,7 +167,7 @@ def test_timeout_raises_during_the_search(monkeypatch):
     # the search before its loop.
     grid = GridMap.empty(100, 100)
     parked = [make_traj([(10, 10)])]
-    probe = Search(grid, build_table(parked), (99, 99), AA)
+    probe = Search(grid, ConstraintTable(parked), (99, 99), AA)
     probe.run((0, 0))
     assert probe.expansions < 128
     reads = []
@@ -284,7 +280,7 @@ def test_heuristic_values():
 # ------------------------------------------------------------- bound exit
 
 def test_free_straight_line_ends_before_any_expansion():
-    search = Search(GridMap.empty(16, 16), build_table([]), (12, 5), AA)
+    search = Search(GridMap.empty(16, 16), ConstraintTable([]), (12, 5), AA)
     traj = reconstruct(search.run((1, 1)))
     assert search.expansions == 0
     assert [wp.cell for wp in traj.waypoints] == [(1, 1), (12, 5)]
@@ -296,7 +292,7 @@ def test_late_goal_waits_at_the_start_and_arrives_at_its_free_time():
     # could be there; the straight line, left late, arrives just as the goal
     # frees for good.
     obstacle = make_traj([(6, 7), (30, 30)])
-    table = build_table([obstacle])
+    table = ConstraintTable([obstacle])
     free_from = table.safe_intervals_at((20, 20))[-1].start
     assert 19.0 < free_from < 21.0
     search = Search(GridMap.empty(32, 32), table, (20, 20), AA)
@@ -321,7 +317,7 @@ def test_cardinal_late_goal_ends_at_the_bound():
     # arrives before T: the first candidate verified to arrive there ends the
     # search.
     obstacle = make_traj([(0, 21), (30, 20)])
-    table = build_table([obstacle])
+    table = ConstraintTable([obstacle])
     free_from = table.safe_intervals_at((20, 20))[-1].start
     assert free_from > 6.0
     search = Search(GridMap.empty(32, 32), table, (20, 20), CARDINAL)
@@ -334,7 +330,7 @@ def test_cardinal_late_goal_ends_at_the_bound():
 # ------------------------------------------------------ successor mechanics
 
 def fresh_search(grid, obstacles, goal, mode=AA):
-    return Search(grid, build_table(obstacles), goal, mode)
+    return Search(grid, ConstraintTable(obstacles), goal, mode)
 
 
 def expand_and_verify(search, state):
@@ -581,7 +577,7 @@ def _check_traced_search(grid, obstacles, start, goal):
     trace and the reconstructed trajectory against the state chain; returns
     the trajectory."""
     trace = []
-    search = Search(grid, build_table(obstacles), goal, AA, trace=trace)
+    search = Search(grid, ConstraintTable(obstacles), goal, AA, trace=trace)
     end = search.run(start)
     traj = reconstruct(end)
     assert trace
