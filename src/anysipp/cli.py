@@ -244,6 +244,9 @@ def _config_from_args(args) -> BenchConfig:
         raise InstanceError("--dump-trajectories requires --out")
     if args.trace and not args.out:
         raise InstanceError("--trace requires --out")
+    if args.out:
+        # An unusable prefix fails here, before any planning.
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     return BenchConfig(
         instances=instances,
         modes=modes,

@@ -96,9 +96,12 @@ def validate_solution(instance, solution) -> ValidationReport:
     all times plus static clearance of every segment and endpoint pinning.
 
     Endpoint problems are recorded as static violations with segment
-    index -1. Missing trajectories (failed agents) are skipped.
+    index -1. Missing trajectories (failed agents) are skipped, but the
+    solution must hold one entry per agent, else ValueError.
     """
     trajectories = getattr(solution, "trajectories", solution)
+    if len(trajectories) != len(instance.agents):
+        raise ValueError(f"{len(trajectories)} trajectories for {len(instance.agents)} agents")
     report = ValidationReport()
     grid = instance.grid
     for i, traj in enumerate(trajectories):

@@ -277,6 +277,18 @@ def test_main_accepts_an_infinite_timeout(tmp_path, capsys):
     assert "success=True" in capsys.readouterr().out
 
 
+def test_main_rejects_an_unusable_out_prefix_before_planning(tmp_path, capsys):
+    map_path = write_empty_map(tmp_path / "m.map", size=4)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["--map", str(map_path), "--generate", "separated", "--agents", "2",
+            "--instances", "2", "--mode", "aa", "--out", str(taken / "run")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+    assert taken.read_text() == ""
+
+
 def test_summarize_common_restriction():
     recs = [
         RunRecord("a", "aa", 2, True, 0.1, 10.0, True, 1),

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from anysipp.constraints import build_table
+from anysipp.constraints import ConstraintTable
 from anysipp.grid import GridMap
 from anysipp.planner import PlannerMode
 from anysipp.prioritized import Instance, generate_instance, plan_all
@@ -68,7 +68,7 @@ def test_conflict_inside_a_merged_piece():
     assert report.conflicts[0].time == pytest.approx(expected, abs=2e-4)
     # The cell the crosser passes at t = 3.5 is unsafe while the obstacle
     # center is within one diameter of it, (3, 5).
-    ivs = build_table([row]).safe_intervals_at((4, 2))
+    ivs = ConstraintTable([row]).safe_intervals_at((4, 2))
     assert [(iv.start, iv.end) for iv in ivs] == [
         pytest.approx((0.0, 3.0), abs=1e-6), pytest.approx((5.0, math.inf), abs=1e-6)
     ]
@@ -115,6 +115,17 @@ def test_validate_solution_accepts_disjoint_lines():
     sol = [make_traj([(0, 0), (7, 0)]), make_traj([(0, 4), (7, 4)])]
     report = validate_solution(inst, sol)
     assert report.ok
+
+
+def test_validate_solution_needs_one_entry_per_agent():
+    grid = GridMap.empty(8, 8)
+    inst = Instance(grid, [((0, 0), (7, 0)), ((0, 4), (7, 4))])
+    sol = [make_traj([(0, 0), (7, 0)]), make_traj([(0, 4), (7, 4)])]
+    with pytest.raises(ValueError, match="1 trajectories for 2 agents"):
+        validate_solution(inst, sol[:1])
+    with pytest.raises(ValueError, match="3 trajectories for 2 agents"):
+        validate_solution(inst, sol + [make_traj([(0, 7), (7, 7)])])
+    assert validate_solution(inst, [sol[0], None]).ok
 
 
 def test_validate_solution_flags_crossing():
