@@ -110,9 +110,10 @@ def test_safe_intervals_merge_back_to_back_obstacles():
 
 
 def test_safe_intervals_parked_obstacle_blocks_forever():
-    assert ConstraintTable([make_traj([(3, 3)])]).safe_intervals_at((3, 3)) == ()
+    table = ConstraintTable([make_traj([(3, 3)])])
+    assert table.safe_intervals_at((3, 3)) == ()
     # a neighbor center sits exactly one diameter away: legal forever
-    assert ConstraintTable([make_traj([(3, 3)])]).safe_intervals_at((4, 3)) == (TimeInterval(0.0, INF),)
+    assert table.safe_intervals_at((4, 3)) == (TimeInterval(0.0, INF),)
 
 
 def test_safe_intervals_are_clear_and_tight():
