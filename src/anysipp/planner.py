@@ -30,6 +30,14 @@ successor table holds it, since its corners are checked there.
 In both modes a candidate into that interval whose lower bound is at most B
 is verified when it is generated rather than when it is popped, and ends the
 search if its true arrival is at most B.
+
+The heuristic is the Euclidean distance to the goal in any-angle mode and the
+Manhattan distance in cardinal mode. On a grid with a blocked cell it is
+raised to the map distance d, the length of a shortest path to the goal over
+the map's successor table with steps costing 1 and sqrt 2: h = max(Euclid,
+d / K) in any-angle mode, K = sqrt(4 - 2 sqrt 2), and h = d in cardinal mode.
+d is computed lazily per search, and a start with d = inf fails before any
+expansion.
 """
 
 from __future__ import annotations
@@ -53,6 +61,13 @@ from .grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap
 from .trajectory import Trajectory, Waypoint
 
 INF = math.inf
+SQRT2 = math.sqrt(2.0)
+# The largest ratio of octile to Euclidean length, at 22.5 degrees. Every
+# line-of-sight move a -> b has a corner-rule path of octile length inside its
+# own swept cells (tests/test_geometry.py checks every displacement on maps up
+# to 128 wide), so the map distance between a and b is at most K |ab|, and
+# d / K is a consistent any-angle heuristic.
+K = math.sqrt(4.0 - 2.0 * SQRT2)
 
 
 class PlanningError(Exception):
@@ -75,7 +90,10 @@ class PlanTimeout(PlanningError):
 class PlannerMode:
     """Cardinal: 4-connected unit moves under a Manhattan heuristic.
     Any-angle: 8-connected moves plus shortcuts through the parent state
-    under a Euclidean heuristic."""
+    under a Euclidean heuristic. On a grid with a blocked cell, the
+    heuristic is raised to the map distance d to the goal: h = d in cardinal
+    mode and max(Euclid, d / K) in any-angle mode (see the module
+    docstring)."""
 
     any_angle: bool = True
 
@@ -149,6 +167,13 @@ class Search:
         self.expansions = 0
         self.bound = -INF
         self.reached: Optional[SearchState] = None
+        # The lazy backward search of _distance, on a blocked grid only: the
+        # closed cells' distances, the best distances found so far, the open
+        # list of (key, -distance, cell), and the cell the key aims at.
+        self._dist = {} if grid.any_blocked else None
+        self._dbest = {self.goal: 0.0}
+        self._dopen: list = []
+        self._toward: Optional[Cell] = None
 
     # -- geometry/constraint lookups, cached per search --------------------
 
@@ -159,8 +184,50 @@ class Search:
             dx = cfg[0] - self.goal[0]
             dy = cfg[1] - self.goal[1]
             h = math.hypot(dx, dy) if self.mode.any_angle else float(abs(dx) + abs(dy))
+            if self._dist is not None:
+                h = max(h, self._distance(cfg) * (1.0 / K if self.mode.any_angle else 1.0))
             rec = self._cells[cfg] = (self.table.safe_intervals_at(cfg), h)
         return rec
+
+    def _distance(self, cfg) -> float:
+        """cfg's map distance to the goal: the length of a shortest path over
+        the successor table (whose moves are symmetric), steps costing 1 and
+        sqrt 2; inf when there is none. A backward A* from the goal, keyed
+        toward the first cell asked about, closes cells only until cfg is
+        closed and resumes on the next miss (Reverse Resumable A*; Silver,
+        "Cooperative Pathfinding", 2005). Its key, the octile or Manhattan
+        distance, is consistent, so every closed cell holds its exact
+        distance whatever cell the key aims at."""
+        dist, open_, best = self._dist, self._dopen, self._dbest
+        if cfg in dist:
+            return dist[cfg]
+        if self._toward is None:
+            self._toward = cfg
+            open_.append((0.0, 0.0, self.goal))
+        tx, ty = self._toward
+        # The key's distance to (tx, ty): a + b + w min(a, b) is octile for
+        # w = sqrt 2 - 2 and Manhattan for w = 0.
+        w = SQRT2 - 2.0 if self.mode.any_angle else 0.0
+        nxt, deadline = self._next, self.deadline
+        while open_:
+            _, ng, c = heappop(open_)
+            if c in dist:
+                continue
+            g = dist[c] = -ng
+            if deadline is not None and not len(dist) & 127 and _time.monotonic() > deadline:
+                raise PlanTimeout("search deadline exceeded")
+            cx, cy = c
+            for n in nxt[c]:
+                x, y = n
+                n_g = g + 1.0 if x == cx or y == cy else g + SQRT2
+                if n_g < best.get(n, INF):
+                    best[n] = n_g
+                    a = x - tx if x > tx else tx - x
+                    b = y - ty if y > ty else ty - y
+                    heappush(open_, (n_g + a + b + w * (a if a < b else b), -n_g, n))
+            if c == cfg:
+                return g
+        return INF
 
     def _cols_for(self, a, b):
         """The collision windows of the move a -> b, or None when a blocked
@@ -303,6 +370,9 @@ class Search:
         root = SearchState(start, ivs[0], 0.0, None)
         self.nodes[(start, 0)] = root
         goal = self.goal
+        if h == INF:
+            self._log(root)
+            raise GoalUnreachable(f"goal {goal} cannot be reached from {start} on the map")
         goal_ivs, _ = self._record(goal)
         if not goal_ivs or goal_ivs[-1].end != INF:
             raise GoalUnreachable(f"goal {goal} is never free for good")

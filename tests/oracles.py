@@ -220,6 +220,24 @@ def flood_fill(grid, start, connectivity=4):
     return reached
 
 
+def map_distances(grid, goal, steps):
+    """Every cell's distance to goal over the map's successor table for
+    steps, a step costing its length (1 or sqrt 2): a full Dijkstra from the
+    goal. Cells it does not reach are absent."""
+    succ = grid.successors(steps)
+    dist = {}
+    heap = [(0.0, tuple(goal))]
+    while heap:
+        d, cell = heapq.heappop(heap)
+        if cell in dist:
+            continue
+        dist[cell] = d
+        for nxt in succ[cell]:
+            if nxt not in dist:
+                heapq.heappush(heap, (d + math.hypot(nxt[0] - cell[0], nxt[1] - cell[1]), nxt))
+    return dist
+
+
 def blocked_grid(size, share, seed):
     """Seeded random blocks, cut down to the largest 4-connected free region
     so that every start can reach every goal on the static map."""

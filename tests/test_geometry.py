@@ -78,6 +78,42 @@ def test_sweep_commutes_with_grid_symmetries():
             if 0 <= dy <= dx:
                 check_sweep_against_oracle((0, 0), (dx, dy))
 
+def _octile_path_inside_sweep(dx, dy) -> bool:
+    """Whether a corner-rule 8-connected path of octile length joins (0, 0)
+    to (dx, dy), 0 <= dy <= dx, using only cells of their sweep. A step is
+    allowed when its own sweep lies in that set, the test
+    ``GridMap.move_is_feasible`` makes on a map whose free cells are the set.
+    A path of k straight and j diagonal steps has length k + j sqrt 2, which
+    equals the octile length dx - dy + dy sqrt 2 only for k = dx - dy and
+    j = dy, and then each step must advance x: the path takes the steps
+    (1, 0) and (1, 1) alone, column by column."""
+    free = set(swept_cells((0, 0), (dx, dy)))
+    rows = {0}
+    for x in range(dx):
+        rows = {y + up for y in rows for up in (0, 1)
+                if free.issuperset(swept_cells((x, y), (x + 1, y + up)))}
+    return dy in rows
+
+
+@pytest.mark.parametrize("span", [
+    64, pytest.param(127, marks=pytest.mark.slow),
+])
+def test_every_sight_line_holds_an_octile_path(span):
+    # Consistency of the any-angle map-distance heuristic, by exhaustion.
+    # The map distance d8 (corner-rule 8-connected, steps 1 and sqrt 2) is
+    # at least the octile distance on any map. Where a line-of-sight move
+    # a -> b is free, so is its sweep, and this test finds a path of octile
+    # length inside the sweep for every first-octant displacement up to
+    # span; by the grid symmetries (test_sweep_commutes_with_grid_symmetries)
+    # that covers every move on maps up to span + 1 cells wide. There
+    # d8(a, b) = octile(a, b) <= K |ab|, K = sqrt(4 - 2 sqrt 2) the largest
+    # ratio of octile to Euclidean length, so h = max(Euclid, d8 / K) obeys
+    # h(a) <= |ab| + h(b): the heuristic is consistent.
+    bad = [(dx, dy) for dx in range(span + 1) for dy in range(dx + 1)
+           if not _octile_path_inside_sweep(dx, dy)]
+    assert bad == []
+
+
 def test_sweep_symmetry_and_endpoints_and_size():
     rng = random.Random(97)
     for _ in range(500):

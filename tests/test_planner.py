@@ -9,7 +9,7 @@ import pytest
 from anysipp import planner
 from anysipp.constraints import TOL, ConstraintTable
 from anysipp.geometry import swept_cells
-from anysipp.grid import GridMap
+from anysipp.grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap
 from anysipp.planner import (
     GoalUnreachable,
     PlannerMode,
@@ -28,6 +28,7 @@ from oracles import (
     blocked_grid,
     flood_fill,
     make_traj,
+    map_distances,
     random_trajectory,
     time_expanded_best_cost,
     time_expanded_exact_best_cost,
@@ -36,6 +37,9 @@ from oracles import (
 AA = PlannerMode.anyangle()
 CARDINAL = PlannerMode.cardinal()
 INF = math.inf
+# The largest ratio of octile to Euclidean length (see the module docstring
+# of anysipp.planner).
+K = math.sqrt(4.0 - 2.0 * math.sqrt(2.0))
 
 
 def assert_clear_of(traj, obstacles):
@@ -181,6 +185,18 @@ def test_timeout_raises_during_the_search(monkeypatch):
         plan(grid, parked, (0, 0), (99, 99), AA, deadline=1.0)
 
 
+def test_map_distance_search_reads_the_deadline():
+    # On a blocked grid the start's record runs the backward map-distance
+    # search first; it too reads the clock every 128 cells it closes, so a
+    # passed deadline stops it there, before the first expansion.
+    grid = GridMap.from_blocked(100, 100, [(50, 0)])
+    search = Search(grid, ConstraintTable([]), (99, 99), CARDINAL,
+                    deadline=time.monotonic() - 1.0)
+    with pytest.raises(PlanTimeout, match="search deadline"):
+        search.run((0, 0))
+    assert len(search._dist) == 128 and search.expansions == 0
+
+
 def test_move_windows_are_built_lazily(monkeypatch):
     # A relaxation pushes a candidate without its move windows; they are
     # built only when the candidate is popped and not already beaten, so the
@@ -275,6 +291,58 @@ def test_heuristic_values():
         assert trace[0][4] == pytest.approx(h)
         assert trace[-1][0] == (3, 4)
         assert trace[-1][4] == trace[-1][3]
+    # A wall between start and goal: the map distance is 6 in both modes
+    # ((0, 0) up, across and down; no diagonal cuts the wall's corner), so
+    # h(start) is 6 / K > 2 (Euclid) in any-angle mode and 6 > 2 (Manhattan)
+    # in cardinal mode.
+    walled = GridMap.from_blocked(3, 3, [(1, 0), (1, 1)])
+    for mode, h in ((AA, 6.0 / K), (CARDINAL, 6.0)):
+        trace = []
+        traj = plan(walled, [], (0, 0), (2, 0), mode, trace=trace)
+        assert trace[0][0] == (0, 0) and trace[0][4] == pytest.approx(h, abs=1e-12)
+        assert traj.cost() == pytest.approx(6.0)
+
+
+# ------------------------------------------------ map-distance heuristic
+
+# (0, 0) and (0, 1) of a 6x6 grid, walled off by (1, 0), (1, 1) and (0, 2):
+# the diagonal (0, 1) -> (1, 2) would cut the corners of (1, 1) and (0, 2).
+POCKET = GridMap.from_blocked(6, 6, [(1, 0), (1, 1), (0, 2)])
+
+
+def test_lazy_map_distances_match_dijkstra():
+    # Every free cell is queried twice, in shuffled order, so that the
+    # backward search resumes from cells its key does not aim at and answers
+    # cells it has closed; on POCKET the cells on the far side of the wall
+    # from the goal read inf.
+    rng = random.Random(2005)
+    cases = [(blocked_grid(16, 0.25, seed), None) for seed in range(4)]
+    cases += [(POCKET, (5, 5)), (POCKET, (0, 1))]
+    for grid, goal in cases:
+        for mode, steps in ((AA, OCTILE_STEPS), (CARDINAL, CARDINAL_STEPS)):
+            target = goal or rng.choice(grid.free_cells())
+            want = map_distances(grid, target, steps)
+            search = fresh_search(grid, [], target, mode)
+            cells = list(grid.free_cells()) * 2
+            rng.shuffle(cells)
+            for cell in cells:
+                got = search._distance(cell)
+                expect = want.get(cell, INF)
+                assert got == expect or abs(got - expect) <= 1e-9, (cell, target, mode)
+            assert (len(want) < len(grid.free_cells())) == (grid is POCKET)
+
+
+@pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
+def test_goal_walled_off_on_the_map_fails_before_any_expansion(mode):
+    # Either way round: the start's map distance is inf, so the search logs
+    # the start record (g = 0, f = inf) and fails without expanding it.
+    for start, goal in (((4, 4), (0, 0)), ((0, 1), (3, 3))):
+        trace = []
+        search = Search(POCKET, ConstraintTable([]), goal, mode, trace=trace)
+        with pytest.raises(GoalUnreachable):
+            search.run(start)
+        assert search.expansions == 0
+        assert trace == [(start, 0.0, INF, 0.0, INF)]
 
 
 # ------------------------------------------------------------- bound exit
@@ -581,9 +649,14 @@ def _check_traced_search(grid, obstacles, start, goal):
     end = search.run(start)
     traj = reconstruct(end)
     assert trace
+    dist = map_distances(grid, goal, OCTILE_STEPS) if grid.any_blocked else None
     for cfg, iv_lo, iv_hi, g, f in trace:
         assert iv_lo - 1e-9 <= g <= iv_hi + 1e-9
-        assert f == g + math.hypot(goal[0] - cfg[0], goal[1] - cfg[1])
+        euclid = math.hypot(goal[0] - cfg[0], goal[1] - cfg[1])
+        if dist is None:
+            assert f == g + euclid
+        else:
+            assert abs(f - (g + max(euclid, dist[cfg] / K))) <= 1e-9
     assert trace[-1][0] == goal
     assert trace[-1][3] == traj.cost()
     chain = []
