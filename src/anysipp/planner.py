@@ -71,19 +71,25 @@ K = math.sqrt(4.0 - 2.0 * SQRT2)
 
 
 class PlanningError(Exception):
-    """Base class for planning failures."""
+    """Base class for planning failures; each names its ``status``."""
 
 
 class StartUnsafe(PlanningError):
-    """Start cell is blocked or already in collision at time 0."""
+    """Start cell is blocked, out of bounds or in collision at time 0."""
+
+    status = "start_unsafe"
 
 
 class GoalUnreachable(PlanningError):
-    """No conflict-free trajectory to the goal exists (search exhausted)."""
+    """No conflict-free trajectory to the goal exists."""
+
+    status = "unreachable"
 
 
 class PlanTimeout(PlanningError):
-    """Wall-clock deadline hit during the search."""
+    """Wall-clock deadline passed before or during the search."""
+
+    status = "timeout"
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,8 @@ class SearchState:
 
 
 class Search:
-    """One shot of the safe-interval search. Exposed for tests and tracing;
-    most callers should use :func:`plan`.
+    """One safe-interval search from start to goal, run once by :meth:`run`.
+    Exposed for tests and tracing; most callers should use :func:`plan`.
 
     The open list holds two kinds of entries, both keyed by f, then -g:
     verified states ``(f + 2*TOL, -g, x, y, idx)``, and candidates ``(f, -g,
@@ -140,20 +146,23 @@ class Search:
     from src the expanded state whose own candidate waits on this one.
 
     ``bound`` is the bound B of the module docstring (-inf until :meth:`run`
-    sets it), and ``reached`` the goal state verified at it.
+    sets it), and ``reached`` the goal state the search ends with.
     """
 
     def __init__(
         self,
         grid: GridMap,
         table: ConstraintTable,
+        start: Cell,
         goal: Cell,
         mode: PlannerMode,
+        *,
         deadline: Optional[float] = None,
         trace: Optional[list] = None,
     ):
         self.grid = grid
         self.table = table
+        self.start = tuple(start)
         self.goal = tuple(goal)
         self.mode = mode
         self.deadline = deadline
@@ -168,12 +177,11 @@ class Search:
         self.bound = -INF
         self.reached: Optional[SearchState] = None
         # The lazy backward search of _distance, on a blocked grid only: the
-        # closed cells' distances, the best distances found so far, the open
-        # list of (key, -distance, cell), and the cell the key aims at.
+        # closed cells' distances, the best distances found so far, and the
+        # open list of (key, -distance, cell), seeded with the goal.
         self._dist = {} if grid.any_blocked else None
         self._dbest = {self.goal: 0.0}
-        self._dopen: list = []
-        self._toward: Optional[Cell] = None
+        self._dopen: list = [(0.0, 0.0, self.goal)]
 
     # -- geometry/constraint lookups, cached per search --------------------
 
@@ -193,18 +201,15 @@ class Search:
         """cfg's map distance to the goal: the length of a shortest path over
         the successor table (whose moves are symmetric), steps costing 1 and
         sqrt 2; inf when there is none. A backward A* from the goal, keyed
-        toward the first cell asked about, closes cells only until cfg is
-        closed and resumes on the next miss (Reverse Resumable A*; Silver,
-        "Cooperative Pathfinding", 2005). Its key, the octile or Manhattan
-        distance, is consistent, so every closed cell holds its exact
-        distance whatever cell the key aims at."""
+        toward the start, closes cells only until cfg is closed and resumes
+        on the next miss (Reverse Resumable A*; Silver, "Cooperative
+        Pathfinding", 2005). Its key, the octile or Manhattan distance, is
+        consistent, so every closed cell holds its exact distance whichever
+        cell is asked about."""
         dist, open_, best = self._dist, self._dopen, self._dbest
         if cfg in dist:
             return dist[cfg]
-        if self._toward is None:
-            self._toward = cfg
-            open_.append((0.0, 0.0, self.goal))
-        tx, ty = self._toward
+        tx, ty = self.start
         # The key's distance to (tx, ty): a + b + w min(a, b) is octile for
         # w = sqrt 2 - 2 and Manhattan for w = 0.
         w = SQRT2 - 2.0 if self.mode.any_angle else 0.0
@@ -275,7 +280,7 @@ class Search:
         if lo > src.interval.end + m_time or hi < start_t:
             return False
         g = start_t if start_t >= lo else lo
-        if not h and g <= self.bound and hi == INF and self._at_bound(x, y, idx, iv, src):
+        if not h and g <= self.bound and hi == INF and self._at_bound(x, y, iv, src):
             return True
         node = self.nodes.get(((x, y), idx))
         if (node is None or g < node.g - TOL
@@ -284,10 +289,10 @@ class Search:
             heappush(self.open, (g + h, -g, x, y, idx, src.g, self._seq, src, fallback))
         return True
 
-    def _at_bound(self, x, y, idx, iv, src: SearchState) -> bool:
-        """Verifies the move from src into the goal's last interval idx now,
-        and keeps the goal state as :attr:`reached` if it arrives by the
-        bound."""
+    def _at_bound(self, x, y, iv, src: SearchState) -> bool:
+        """Verifies the move from src into the goal's last interval iv now,
+        and keeps the goal state as :attr:`reached`, which ends
+        :meth:`run`, if it arrives by the bound."""
         g = self._arrival((x, y), iv, src)
         if g is None or g > self.bound:
             return False
@@ -362,32 +367,41 @@ class Search:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, start: Cell) -> SearchState:
-        start = tuple(start)
+    def run(self) -> SearchState:
+        """The goal state of a conflict-free trajectory from the start. Every
+        refusal is raised here before the search starts, and it ends at a
+        goal pop or at :attr:`reached`, set by the straight move from the
+        start or by a candidate verified at the bound (:meth:`_at_bound`)."""
+        start, goal, grid = self.start, self.goal, self.grid
+        if not grid.is_traversable(start):
+            raise StartUnsafe(f"start {start} is blocked or out of bounds")
+        if not grid.is_traversable(goal):
+            raise GoalUnreachable(f"goal {goal} is blocked or out of bounds")
+        if self.deadline is not None and _time.monotonic() > self.deadline:
+            raise PlanTimeout("deadline exceeded before search start")
         ivs, h = self._record(start)
         if not ivs or ivs[0].start > TOL:
             raise StartUnsafe(f"start {start} is in collision at time 0")
         root = SearchState(start, ivs[0], 0.0, None)
         self.nodes[(start, 0)] = root
-        goal = self.goal
         if h == INF:
             self._log(root)
             raise GoalUnreachable(f"goal {goal} cannot be reached from {start} on the map")
         goal_ivs, _ = self._record(goal)
         if not goal_ivs or goal_ivs[-1].end != INF:
             raise GoalUnreachable(f"goal {goal} is never free for good")
-        last = len(goal_ivs) - 1
-        self.bound = max(h, goal_ivs[last].start)
+        self.bound = max(h, goal_ivs[-1].start)
         dx, dy = goal[0] - start[0], goal[1] - start[1]
         if (self.mode.any_angle
                 and (abs(dx) > 1 or abs(dy) > 1 or goal in self._next[start])
-                and self._at_bound(goal[0], goal[1], last, goal_ivs[last], root)):
+                and self._at_bound(goal[0], goal[1], goal_ivs[-1], root)):
             self._log(root)
-            self._log(self.reached)
-            return self.reached
-        heappush(self.open, (h, 0.0, start[0], start[1], 0))
+        else:
+            heappush(self.open, (h, 0.0, start[0], start[1], 0))
         pops = 0
-        while self.open:
+        while self.reached is None:
+            if not self.open:
+                raise GoalUnreachable(f"goal {goal} cannot be reached conflict-free")
             entry = heappop(self.open)
             pops += 1
             if self.deadline is not None and not pops & 127 and _time.monotonic() > self.deadline:
@@ -396,9 +410,8 @@ class Search:
                 self._verify(entry)
             else:
                 _, ng, cx, cy, idx = entry
-                key = ((cx, cy), idx)
-                node = self.nodes.get(key)
-                if node is None or node.g != -ng:
+                node = self.nodes[((cx, cy), idx)]
+                if node.g != -ng:
                     continue
                 if self.trace is not None:
                     self._log(node)
@@ -406,10 +419,8 @@ class Search:
                     return node
                 self.expansions += 1
                 self.expand(node)
-            if self.reached is not None:
-                self._log(self.reached)
-                return self.reached
-        raise GoalUnreachable(f"goal {goal} cannot be reached conflict-free")
+        self._log(self.reached)
+        return self.reached
 
     def _log(self, node: SearchState) -> None:
         """Appends node's record to the trace, if there is one."""
@@ -452,18 +463,10 @@ def plan(
     holds them.
 
     The goal state is accepted only in a safe interval that is unbounded
-    above, since the agent parks there forever. Raises StartUnsafe,
-    GoalUnreachable, or PlanTimeout.
+    above, since the agent parks there forever. :meth:`Search.run` raises
+    StartUnsafe, GoalUnreachable, or PlanTimeout.
     """
-    start = tuple(start)
-    goal = tuple(goal)
-    if not grid.is_traversable(start):
-        raise StartUnsafe(f"start {start} is blocked or out of bounds")
-    if not grid.is_traversable(goal):
-        raise GoalUnreachable(f"goal {goal} is blocked or out of bounds")
-    if deadline is not None and _time.monotonic() > deadline:
-        raise PlanTimeout("deadline exceeded before search start")
     if not isinstance(obstacles, ConstraintTable):
         obstacles = ConstraintTable(obstacles)
-    search = Search(grid, obstacles, goal, mode, deadline=deadline, trace=trace)
-    return reconstruct(search.run(start))
+    search = Search(grid, obstacles, start, goal, mode, deadline=deadline, trace=trace)
+    return reconstruct(search.run())

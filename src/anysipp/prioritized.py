@@ -15,26 +15,11 @@ from typing import List, Optional, Tuple
 from .constraints import ConstraintTable
 from .geometry import Cell
 from .grid import CARDINAL_STEPS, GridMap
-from .planner import (
-    GoalUnreachable,
-    PlannerMode,
-    PlanningError,
-    PlanTimeout,
-    StartUnsafe,
-    plan,
-)
+from .planner import PlannerMode, PlanningError, plan
 from .trajectory import Trajectory
 
 STATUS_OK = "ok"
-STATUS_START_UNSAFE = "start_unsafe"
-STATUS_UNREACHABLE = "unreachable"
-STATUS_TIMEOUT = "timeout"
 STATUS_SKIPPED = "skipped"
-_FAILURE_STATUS = {
-    PlanTimeout: STATUS_TIMEOUT,
-    StartUnsafe: STATUS_START_UNSAFE,
-    GoalUnreachable: STATUS_UNREACHABLE,
-}
 
 
 class InstanceError(ValueError):
@@ -103,7 +88,7 @@ def plan_all(
         try:
             traj = plan(instance.grid, table, start, goal, mode, deadline=deadline, trace=trace)
         except PlanningError as exc:
-            statuses[i] = _FAILURE_STATUS[type(exc)]
+            statuses[i] = exc.status
             return Solution(trajectories, statuses, None, traces)
         trajectories[i] = traj
         statuses[i] = STATUS_OK

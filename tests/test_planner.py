@@ -141,9 +141,9 @@ def test_goal_never_free_for_good_fails_before_any_expansion(mode):
         ([make_traj([(20, 20)])], (20, 20)),
         ([make_traj([(20, 25), (20, 10)])], (20, 10)),
     ):
-        search = Search(grid, ConstraintTable(obstacles), goal, mode)
+        search = Search(grid, ConstraintTable(obstacles), (0, 0), goal, mode)
         with pytest.raises(GoalUnreachable):
-            search.run((0, 0))
+            search.run()
         assert search.expansions == 0
 
 
@@ -171,8 +171,8 @@ def test_timeout_raises_during_the_search(monkeypatch):
     # the search before its loop.
     grid = GridMap.empty(100, 100)
     parked = [make_traj([(10, 10)])]
-    probe = Search(grid, ConstraintTable(parked), (99, 99), AA)
-    probe.run((0, 0))
+    probe = Search(grid, ConstraintTable(parked), (0, 0), (99, 99), AA)
+    probe.run()
     assert probe.expansions < 128
     reads = []
 
@@ -190,10 +190,10 @@ def test_map_distance_search_reads_the_deadline():
     # search first; it too reads the clock every 128 cells it closes, so a
     # passed deadline stops it there, before the first expansion.
     grid = GridMap.from_blocked(100, 100, [(50, 0)])
-    search = Search(grid, ConstraintTable([]), (99, 99), CARDINAL,
+    search = Search(grid, ConstraintTable([]), (0, 0), (99, 99), CARDINAL,
                     deadline=time.monotonic() - 1.0)
     with pytest.raises(PlanTimeout, match="search deadline"):
-        search.run((0, 0))
+        search._distance(search.start)
     assert len(search._dist) == 128 and search.expansions == 0
 
 
@@ -209,9 +209,9 @@ def test_move_windows_are_built_lazily(monkeypatch):
         counts["requests"] += 1
         return cols_for(self, *args)
 
-    def counting_run(self, start):
+    def counting_run(self):
         try:
-            return run(self, start)
+            return run(self)
         finally:
             counts["expansions"] += self.expansions
 
@@ -236,9 +236,9 @@ def test_one_candidate_per_shortcut(monkeypatch):
         counts["candidates"] += len(entry) > 5
         push(heap, entry)
 
-    def counting_run(self, start):
+    def counting_run(self):
         try:
-            return run(self, start)
+            return run(self)
         finally:
             counts["expansions"] += self.expansions
 
@@ -322,9 +322,9 @@ def test_lazy_map_distances_match_dijkstra():
         for mode, steps in ((AA, OCTILE_STEPS), (CARDINAL, CARDINAL_STEPS)):
             target = goal or rng.choice(grid.free_cells())
             want = map_distances(grid, target, steps)
-            search = fresh_search(grid, [], target, mode)
             cells = list(grid.free_cells()) * 2
             rng.shuffle(cells)
+            search = Search(grid, ConstraintTable([]), cells[0], target, mode)
             for cell in cells:
                 got = search._distance(cell)
                 expect = want.get(cell, INF)
@@ -338,9 +338,9 @@ def test_goal_walled_off_on_the_map_fails_before_any_expansion(mode):
     # the start record (g = 0, f = inf) and fails without expanding it.
     for start, goal in (((4, 4), (0, 0)), ((0, 1), (3, 3))):
         trace = []
-        search = Search(POCKET, ConstraintTable([]), goal, mode, trace=trace)
+        search = Search(POCKET, ConstraintTable([]), start, goal, mode, trace=trace)
         with pytest.raises(GoalUnreachable):
-            search.run(start)
+            search.run()
         assert search.expansions == 0
         assert trace == [(start, 0.0, INF, 0.0, INF)]
 
@@ -348,8 +348,8 @@ def test_goal_walled_off_on_the_map_fails_before_any_expansion(mode):
 # ------------------------------------------------------------- bound exit
 
 def test_free_straight_line_ends_before_any_expansion():
-    search = Search(GridMap.empty(16, 16), ConstraintTable([]), (12, 5), AA)
-    traj = reconstruct(search.run((1, 1)))
+    search = Search(GridMap.empty(16, 16), ConstraintTable([]), (1, 1), (12, 5), AA)
+    traj = reconstruct(search.run())
     assert search.expansions == 0
     assert [wp.cell for wp in traj.waypoints] == [(1, 1), (12, 5)]
     assert traj.waypoints[-1].arrival == math.hypot(11, 4)
@@ -363,8 +363,8 @@ def test_late_goal_waits_at_the_start_and_arrives_at_its_free_time():
     table = ConstraintTable([obstacle])
     free_from = table.safe_intervals_at((20, 20))[-1].start
     assert 19.0 < free_from < 21.0
-    search = Search(GridMap.empty(32, 32), table, (20, 20), AA)
-    traj = reconstruct(search.run((16, 14)))
+    search = Search(GridMap.empty(32, 32), table, (16, 14), (20, 20), AA)
+    traj = reconstruct(search.run())
     assert search.expansions == 0
     assert [wp.cell for wp in traj.waypoints] == [(16, 14), (20, 20)]
     assert traj.waypoints[0].wait > 10.0
@@ -388,8 +388,8 @@ def test_cardinal_late_goal_ends_at_the_bound():
     table = ConstraintTable([obstacle])
     free_from = table.safe_intervals_at((20, 20))[-1].start
     assert free_from > 6.0
-    search = Search(GridMap.empty(32, 32), table, (20, 20), CARDINAL)
-    end = search.run((20, 14))
+    search = Search(GridMap.empty(32, 32), table, (20, 14), (20, 20), CARDINAL)
+    end = search.run()
     assert end is search.reached
     assert end.g == search.bound == free_from
     assert_clear_of(reconstruct(end), [obstacle])
@@ -398,7 +398,7 @@ def test_cardinal_late_goal_ends_at_the_bound():
 # ------------------------------------------------------ successor mechanics
 
 def fresh_search(grid, obstacles, goal, mode=AA):
-    return Search(grid, ConstraintTable(obstacles), goal, mode)
+    return Search(grid, ConstraintTable(obstacles), (0, 0), goal, mode)
 
 
 def expand_and_verify(search, state):
@@ -645,8 +645,8 @@ def _check_traced_search(grid, obstacles, start, goal):
     trace and the reconstructed trajectory against the state chain; returns
     the trajectory."""
     trace = []
-    search = Search(grid, ConstraintTable(obstacles), goal, AA, trace=trace)
-    end = search.run(start)
+    search = Search(grid, ConstraintTable(obstacles), start, goal, AA, trace=trace)
+    end = search.run()
     traj = reconstruct(end)
     assert trace
     dist = map_distances(grid, goal, OCTILE_STEPS) if grid.any_blocked else None
