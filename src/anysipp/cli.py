@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time as _time
 from dataclasses import asdict, dataclass
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instance generator: 'separated' or 'walk:STEPS'",
     )
     p.add_argument("--agents", type=int, help="number of agents")
-    p.add_argument("--instances", type=int, default=1, help="number of generated instances")
+    p.add_argument("--instances", type=int, help="number of generated instances (default 1)")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--mode", choices=[*MODE_NAMES, "both"], default="both")
     p.add_argument("--timeout", type=float, default=300.0,
@@ -217,11 +218,13 @@ def _config_from_args(args) -> BenchConfig:
     if args.agents is not None and args.agents < 1:
         raise InstanceError(f"--agents must be at least 1, got {args.agents}")
     for flag, value in (("--instances", args.instances), ("--workers", args.workers)):
-        if value < 1:
+        if value is not None and value < 1:
             raise InstanceError(f"{flag} must be at least 1, got {value}")
     if not args.timeout > 0:
         raise InstanceError(f"--timeout must be positive, got {args.timeout}")
     if args.scen:
+        if args.instances is not None:
+            raise InstanceError("--instances applies to --generate only, not to --scen")
         inst = load_agents(Path(args.scen).read_text(), grid, max_agents=args.agents)
         instances.append((Path(args.scen).stem, args.seed, inst))
     elif args.generate:
@@ -230,11 +233,11 @@ def _config_from_args(args) -> BenchConfig:
         gen = args.generate
         if gen == "separated":
             protocol, steps = "separated", 0
-        elif gen.startswith("walk:"):
-            protocol, steps = "walk", int(gen.split(":", 1)[1])
+        elif re.fullmatch(r"walk:-?\d+", gen):
+            protocol, steps = "walk", int(gen[5:])
         else:
-            raise InstanceError(f"unknown generator {gen!r}")
-        for k in range(args.instances):
+            raise InstanceError(f"--generate takes 'separated' or 'walk:STEPS', got {gen!r}")
+        for k in range(args.instances or 1):
             seed = args.seed + k
             inst = generate_instance(grid, args.agents, seed, protocol, walk_steps=steps)
             instances.append((f"{map_stem}-{protocol}-{k:03d}", seed, inst))

@@ -64,9 +64,9 @@ INF = math.inf
 SQRT2 = math.sqrt(2.0)
 # The largest ratio of octile to Euclidean length, at 22.5 degrees. Every
 # line-of-sight move a -> b has a corner-rule path of octile length inside its
-# own swept cells (tests/test_geometry.py checks every displacement on maps up
-# to 128 wide), so the map distance between a and b is at most K |ab|, and
-# d / K is a consistent any-angle heuristic.
+# own swept cells (tests/test_geometry.py checks it exhaustively up to 127
+# cells and by sample up to 1023), so the map distance between a and b is at
+# most K |ab|, and d / K is a consistent any-angle heuristic.
 K = math.sqrt(4.0 - 2.0 * SQRT2)
 
 

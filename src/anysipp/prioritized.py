@@ -73,8 +73,8 @@ def plan_all(
     collect_traces: bool = False,
 ) -> Solution:
     """Plan every agent in priority order against the accumulated higher
-    priority trajectories. The first failure aborts the chain; remaining
-    agents are marked skipped."""
+    priority trajectories. The first failure aborts the chain: the agent
+    gets its error's ``status``, and the remaining agents are skipped."""
     deadline = _time.monotonic() + timeout if timeout is not None else None
     n = instance.n_agents
     table = ConstraintTable()
@@ -209,7 +209,7 @@ def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> I
     if not lines:
         raise InstanceError("empty instance file")
     head = lines[0].split()
-    agents: List[Tuple[Cell, Cell]] = []
+    rows: List[Tuple[str, List[str]]] = []  # (line, its four coordinates)
     if head[0] == "agents":
         try:
             count = int(head[1])
@@ -223,17 +223,22 @@ def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> I
             parts = ln.split()
             if len(parts) != 4:
                 raise InstanceError(f"expected 'sc sr gc gr', got {ln!r}")
-            sc, sr, gc, gr = map(int, parts)
-            agents.append(((sc, sr), (gc, gr)))
+            rows.append((ln, parts))
     elif head[0] == "version":
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) < 9:
                 raise InstanceError(f"malformed scenario row: {ln!r}")
-            sc, sr, gc, gr = map(int, parts[4:8])
-            agents.append(((sc, sr), (gc, gr)))
+            rows.append((ln, parts[4:8]))
     else:
         raise InstanceError(f"unrecognized instance header: {lines[0]!r}")
+    agents: List[Tuple[Cell, Cell]] = []
+    for ln, fields in rows:
+        try:
+            sc, sr, gc, gr = map(int, fields)
+        except ValueError:
+            raise InstanceError(f"non-integer coordinate in row {ln!r}") from None
+        agents.append(((sc, sr), (gc, gr)))
     if max_agents is not None:
         if len(agents) < max_agents:
             raise InstanceError(f"{max_agents} agents requested, file has {len(agents)}")

@@ -269,6 +269,26 @@ def test_main_rejects_walks_without_steps(tmp_path, capsys, steps):
     assert out == "" and "step" in err
 
 
+@pytest.mark.parametrize("generator", ["walk:abc", "walk:"])
+def test_main_rejects_walks_with_non_integer_steps(tmp_path, capsys, generator):
+    map_path = write_empty_map(tmp_path / "m.map", size=8)
+    argv = ["--map", str(map_path), "--generate", generator, "--agents", "3",
+            "--mode", "aa"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--generate" in err and "walk:STEPS" in err
+
+
+def test_main_rejects_instances_with_a_scenario(tmp_path, capsys):
+    map_path = write_empty_map(tmp_path / "m.map")
+    scen = tmp_path / "s.txt"
+    scen.write_text("agents 2\n0 0 9 9\n9 0 0 9\n")
+    argv = ["--map", str(map_path), "--scen", str(scen), "--instances", "3", "--mode", "aa"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--instances" in err and "--generate" in err
+
+
 def test_main_accepts_an_infinite_timeout(tmp_path, capsys):
     map_path = write_empty_map(tmp_path / "m.map")
     argv = ["--map", str(map_path), "--generate", "separated", "--agents", "2",

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -112,6 +113,20 @@ def test_every_sight_line_holds_an_octile_path(span):
     bad = [(dx, dy) for dx in range(span + 1) for dy in range(dx + 1)
            if not _octile_path_inside_sweep(dx, dy)]
     assert bad == []
+
+
+def test_long_sight_lines_hold_an_octile_path_by_sample():
+    # The same property past the exhaustive span, by seeded sample up to
+    # 1023: random first-octant displacements, and for a few lengths the
+    # flattest and steepest slopes and the two nearest 22.5 degrees, where
+    # the octile-to-Euclidean ratio peaks at K.
+    rng = random.Random(1023)
+    cases = [(dx, rng.randint(0, dx)) for dx in (rng.randint(128, 1023) for _ in range(150))]
+    for dx in (128, 255, 511, 1023):
+        near = dx * math.tan(math.pi / 8)
+        cases += [(dx, dy) for dy in (0, 1, dx - 1, dx, math.floor(near), math.ceil(near))]
+    assert len(cases) == 174
+    assert [case for case in cases if not _octile_path_inside_sweep(*case)] == []
 
 
 def test_sweep_symmetry_and_endpoints_and_size():

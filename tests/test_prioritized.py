@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 
+from anysipp import prioritized
 from anysipp.grid import GridMap
-from anysipp.planner import PlannerMode
+from anysipp.planner import GoalUnreachable, PlannerMode, PlanTimeout, StartUnsafe
 from anysipp.prioritized import (
     GenerationError,
     Instance,
@@ -115,6 +117,22 @@ def test_failed_chain_keeps_one_entry_per_agent():
     assert sol.statuses == ["timeout", "skipped", "skipped", "skipped"]
     assert sol.trajectories == [None] * 4
     assert sol.traces == [[], None, None, None]
+
+
+@pytest.mark.parametrize("error, status", [
+    (StartUnsafe, "start_unsafe"), (GoalUnreachable, "unreachable"), (PlanTimeout, "timeout"),
+])
+def test_each_planning_error_names_the_agents_status(monkeypatch, error, status):
+    # A valid instance cannot make agent 0 fail on its start (distinct starts
+    # are a diameter apart at t = 0), so plan is made to raise each error.
+    def failing_plan(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr(prioritized, "plan", failing_plan)
+    inst = generate_instance(GridMap.empty(16, 16), 3, seed=5, protocol="separated")
+    sol = plan_all(inst, AA)
+    assert sol.statuses == [status, "skipped", "skipped"]
+    assert sol.trajectories == [None] * 3 and sol.total_cost is None
 
 
 # ------------------------------------------------------------------ WFI
@@ -263,6 +281,16 @@ def test_load_agents_rejects_garbage():
         load_agents("agents -1\n", grid)
     with pytest.raises(InstanceError):
         load_agents("agents 1\n0 0 3 3\n", grid, max_agents=-1)
+
+
+@pytest.mark.parametrize("text", [
+    "agents 1\n0 0 x 1\n",
+    "version 1\n0\tmap.map\t10\t10\t0\t0.5\t7\t7\t9.9\n",
+])
+def test_load_agents_names_a_row_with_a_non_integer_coordinate(text):
+    row = text.splitlines()[1]
+    with pytest.raises(InstanceError, match="non-integer coordinate in row " + re.escape(repr(row))):
+        load_agents(text, GridMap.empty(10, 10))
 
 
 # --------------------------------------------------- multi-agent soundness
