@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .grid import MapFormatError, parse_map
 from .planner import PlannerMode
 from .prioritized import (
+    STATUS_OK,
     GenerationError,
     Instance,
     InstanceError,
@@ -40,8 +41,12 @@ class RunRecord:
     cost: Optional[float]
     valid: Optional[bool]
     seed: int
-    # Text of an unexpected exception that ended the run (JSON output only).
+    # JSON output only: the text of an unexpected exception that ended the
+    # run; the first agent status that is not "ok" (or "ok"), and that
+    # agent's index (or None). Both are None when planning raised.
     error: Optional[str] = None
+    status: Optional[str] = STATUS_OK
+    failed_agent: Optional[int] = None
 
 
 @dataclass
@@ -76,9 +81,13 @@ def _run_instance(task):
             sol, elapsed = None, _time.monotonic() - t0
             error = f"{type(exc).__name__}: {exc}"
         success = valid is True
+        status = failed = None
+        if sol is not None:
+            failed = next((i for i, st in enumerate(sol.statuses) if st != STATUS_OK), None)
+            status = STATUS_OK if failed is None else sol.statuses[failed]
         records.append(RunRecord(
             inst_id, mode_name, instance.n_agents, success, elapsed,
-            sol.total_cost if success else None, valid, seed, error,
+            sol.total_cost if success else None, valid, seed, error, status, failed,
         ))
         if sol is None:
             continue

@@ -23,10 +23,21 @@ the shortcut's pops, and only if the shortcut has not beaten it by then.
 No trajectory reaches the goal for good before B = max(h(start), T), where
 T is the start of the goal's last safe interval, the one unbounded above. So
 an arrival there at B is optimal, and the search ends as soon as it verifies
-one. A goal with no such interval fails before any expansion. In any-angle
-mode the search first tries the straight move from the start, departing any
-time the start's interval allows; a neighbour step counts only if the map's
-successor table holds it, since its corners are checked there.
+one. A goal with no such interval fails before any expansion. Before the
+loop, each mode tries one path that would end there:
+
+- any-angle: the straight move from the start, departing any time the
+  start's interval allows; a neighbour step counts only if the map's
+  successor table holds it, since its corners are checked there;
+- cardinal, when B = h(start) and the start is not the goal: the path the
+  loop pops first when no step is delayed. Along it f stays h(start), the
+  deepest entry pops first and ties go to the smaller x, then the smaller y,
+  so it runs along x first toward a goal on the left and along y first
+  otherwise. Every step must be in the successor table and arrive undelayed,
+  one time unit after its departure; the loop falls back at the first that
+  does not, and its trajectory is the one the loop would return.
+
+Either way the last move into the goal's last interval is verified as below.
 In both modes a candidate into that interval whose lower bound is at most B
 is verified when it is generated rather than when it is popped, and ends the
 search if its true arrival is at most B.
@@ -365,13 +376,40 @@ class Search:
                 if not (shortcut and self._candidate(x, y, idx, iv, h, par, s)):
                     self._candidate(x, y, idx, iv, h, s, None)
 
+    def _l_path(self, root: SearchState, goal_iv: TimeInterval) -> bool:
+        """Cardinal mode: walks the path the loop pops first when no step is
+        delayed (see the module docstring), from root into the goal's last
+        interval goal_iv. Keeps the goal state as :attr:`reached` and returns
+        True if every step is in the successor table and arrives undelayed;
+        False at the first step that does not."""
+        (x0, y0), (gx, gy) = self.start, self.goal
+        sx, sy = (1 if gx > x0 else -1), (1 if gy > y0 else -1)
+        xs, ys = range(x0 + sx, gx + sx, sx), range(y0 + sy, gy + sy, sy)
+        if gx < x0:
+            path = [(x, y0) for x in xs] + [(gx, y) for y in ys]
+        else:
+            path = [(x0, y) for y in ys] + [(x, gy) for x in xs]
+        src = root
+        for cfg in path[:-1]:
+            if cfg not in self._next[src.cfg]:
+                return False
+            t = src.g + 1.0
+            iv = next((iv for iv in self._record(cfg)[0] if iv.start <= t <= iv.end), None)
+            if iv is None or self._arrival(cfg, iv, src) != t:
+                return False
+            src = SearchState(cfg, iv, t, src)
+        return self.goal in self._next[src.cfg] and self._at_bound(gx, gy, goal_iv, src)
+
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SearchState:
         """The goal state of a conflict-free trajectory from the start. Every
-        refusal is raised here before the search starts, and it ends at a
-        goal pop or at :attr:`reached`, set by the straight move from the
-        start or by a candidate verified at the bound (:meth:`_at_bound`)."""
+        refusal is raised here before the search starts. It then tries its
+        mode's pre-loop path: the straight move from the start in any-angle
+        mode, the undelayed L path (:meth:`_l_path`) in cardinal mode. Where
+        that fails, the loop ends at a goal pop or at a candidate verified at
+        the bound (:meth:`_at_bound`). Either exit sets :attr:`reached`, and
+        an agent served before the loop logs only its start and its goal."""
         start, goal, grid = self.start, self.goal, self.grid
         if not grid.is_traversable(start):
             raise StartUnsafe(f"start {start} is blocked or out of bounds")
@@ -390,11 +428,15 @@ class Search:
         goal_ivs, _ = self._record(goal)
         if not goal_ivs or goal_ivs[-1].end != INF:
             raise GoalUnreachable(f"goal {goal} is never free for good")
-        self.bound = max(h, goal_ivs[-1].start)
-        dx, dy = goal[0] - start[0], goal[1] - start[1]
-        if (self.mode.any_angle
-                and (abs(dx) > 1 or abs(dy) > 1 or goal in self._next[start])
-                and self._at_bound(goal[0], goal[1], goal_ivs[-1], root)):
+        goal_iv = goal_ivs[-1]
+        self.bound = max(h, goal_iv.start)
+        if self.mode.any_angle:
+            dx, dy = goal[0] - start[0], goal[1] - start[1]
+            served = ((abs(dx) > 1 or abs(dy) > 1 or goal in self._next[start])
+                      and self._at_bound(goal[0], goal[1], goal_iv, root))
+        else:
+            served = self.bound == h and start != goal and self._l_path(root, goal_iv)
+        if served:
             self._log(root)
         else:
             heappush(self.open, (h, 0.0, start[0], start[1], 0))

@@ -201,8 +201,9 @@ def generate_instance(
 
 
 def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> Instance:
-    """Parse either the ``agents N`` instance format or a benchmark scenario
-    file (header ``version ...``); agents keep file order (FIFO priority)."""
+    """Parse either the ``agents N`` instance format, which must hold
+    exactly N agent rows, or a benchmark scenario file (header ``version
+    ...``); agents keep file order (FIFO priority)."""
     if max_agents is not None and max_agents < 0:
         raise InstanceError(f"{max_agents} agents requested")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -217,9 +218,9 @@ def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> I
             raise InstanceError("expected 'agents N' header") from None
         if count < 0:
             raise InstanceError(f"header declares {count} agents")
-        if len(lines) - 1 < count:
+        if len(lines) - 1 != count:
             raise InstanceError(f"header declares {count} agents, found {len(lines) - 1}")
-        for ln in lines[1 : 1 + count]:
+        for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 4:
                 raise InstanceError(f"expected 'sc sr gc gr', got {ln!r}")

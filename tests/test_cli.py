@@ -15,7 +15,7 @@ from anysipp.cli import (
     summarize,
 )
 from anysipp.grid import GridMap
-from anysipp.prioritized import generate_instance
+from anysipp.prioritized import Instance, generate_instance
 
 from oracles import parse_csv
 
@@ -102,6 +102,7 @@ def test_unexpected_error_fails_only_its_runs(monkeypatch, tmp_path, workers):
         if r.instance == "t-001":
             assert (r.success, r.cost, r.valid) == (False, None, None)
             assert r.error == "ValueError: bad instance"
+            assert (r.status, r.failed_agent) == (None, None)
         else:
             assert r.success and r.valid and r.cost is not None and r.error is None
     assert summary["common"]["count"] == 2
@@ -219,7 +220,25 @@ def test_json_record_keys_follow_csv_columns(tmp_path):
     payload = json.loads((tmp_path / "run.json").read_text())
     assert len(payload["records"]) == len(records)
     for rec in payload["records"]:
-        assert list(rec) == CSV_HEADER.split(",") + ["error"]
+        assert list(rec) == CSV_HEADER.split(",") + ["error", "status", "failed_agent"]
+
+
+def test_json_records_name_the_failed_agent(tmp_path):
+    # Agent 1's goal (4, 4) is walled off by (3, 4) and (4, 3) in both modes.
+    grid = GridMap.from_blocked(5, 5, [(3, 4), (4, 3)])
+    walled = Instance(grid, [((0, 0), (2, 2)), ((0, 4), (4, 4)), ((4, 0), (0, 2))])
+    solvable = Instance(grid, [((0, 0), (2, 2))])
+    config = BenchConfig(instances=[("walled", 0, walled), ("free", 1, solvable)],
+                         modes=["aa", "cardinal"], timeout=30.0)
+    records, summary, _, _ = run_benchmark(config)
+    emit_results(records, summary, str(tmp_path / "run"))
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert [(r["instance"], r["success"], r["status"], r["failed_agent"])
+            for r in payload["records"]] == [
+        ("walled", False, "unreachable", 1), ("walled", False, "unreachable", 1),
+        ("free", True, "ok", None), ("free", True, "ok", None),
+    ]
+    assert (tmp_path / "run.csv").read_text().splitlines()[0] == CSV_HEADER
 
 @pytest.mark.parametrize("source, agents", [
     ("scen", "-1"), ("scen", "0"), ("generate", "-2"), ("generate", "0"), ("header", None),

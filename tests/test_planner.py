@@ -21,7 +21,7 @@ from anysipp.planner import (
     reconstruct,
 )
 from anysipp.prioritized import Instance, generate_instance, plan_all
-from anysipp.trajectory import Trajectory, Waypoint
+from anysipp.trajectory import Trajectory, Waypoint, format_trajectory
 from anysipp.validate import first_conflict
 
 from oracles import (
@@ -393,6 +393,97 @@ def test_cardinal_late_goal_ends_at_the_bound():
     assert end is search.reached
     assert end.g == search.bound == free_from
     assert_clear_of(reconstruct(end), [obstacle])
+
+
+@pytest.mark.parametrize("goal, cells", [
+    # Toward a goal on the left the path runs along x first...
+    ((2, 8), [(5, 5), (4, 5), (3, 5), (2, 5), (2, 6), (2, 7), (2, 8)]),
+    ((2, 1), [(5, 5), (4, 5), (3, 5), (2, 5), (2, 4), (2, 3), (2, 2), (2, 1)]),
+    # ...and along y first otherwise, the goal's own column included.
+    ((8, 2), [(5, 5), (5, 4), (5, 3), (5, 2), (6, 2), (7, 2), (8, 2)]),
+    ((7, 7), [(5, 5), (5, 6), (5, 7), (6, 7), (7, 7)]),
+    ((5, 8), [(5, 5), (5, 6), (5, 7), (5, 8)]),
+    ((6, 5), [(5, 5), (6, 5)]),
+])
+def test_free_cardinal_path_ends_before_any_expansion(goal, cells, monkeypatch):
+    trace = []
+    search = Search(GridMap.empty(10, 10), ConstraintTable([]), (5, 5), goal, CARDINAL,
+                    trace=trace)
+    traj = reconstruct(search.run())
+    assert search.expansions == 0
+    assert [wp.cell for wp in traj.waypoints] == cells
+    assert [wp.arrival for wp in traj.waypoints] == list(range(len(cells)))
+    assert [rec[0] for rec in trace] == [(5, 5), goal]
+    # The loop alone returns the same waypoints.
+    monkeypatch.setattr(Search, "_l_path", lambda self, root, goal_iv: False)
+    loop = Search(GridMap.empty(10, 10), ConstraintTable([]), (5, 5), goal, CARDINAL)
+    assert reconstruct(loop.run()).waypoints == traj.waypoints
+    assert loop.expansions > 0
+
+
+@pytest.mark.parametrize("case", ["parked on the first leg", "late goal", "blocked cell"])
+def test_cardinal_path_falls_back_to_the_loop(case):
+    # Start (1, 1), goal (6, 6): the undelayed path would run up column 1
+    # first. Each case spoils it, and the loop then finds the best plan.
+    grid, obstacles, start, goal = GridMap.empty(8, 8), [], (1, 1), (6, 6)
+    if case == "parked on the first leg":
+        obstacles = [make_traj([(1, 4)])]
+    elif case == "blocked cell":
+        grid = GridMap.from_blocked(8, 8, [(1, 4)])
+    else:
+        # The obstacle waits on the goal until t = 5, then leaves up column 6:
+        # the goal frees for good at about t = 6 > h = 5.
+        start = (6, 1)
+        obstacles = [make_traj([(6, 6), (6, 9)], waits=[5.0, 0.0])]
+    search = Search(grid, ConstraintTable(obstacles), start, goal, CARDINAL)
+    traj = reconstruct(search.run())
+    assert search.expansions > 0
+    assert_clear_of(traj, obstacles)
+    oracle = time_expanded_exact_best_cost(grid, obstacles, start, goal)
+    assert traj.cost() == pytest.approx(oracle, abs=1e-6)
+    if case == "late goal":
+        assert search.bound == traj.cost() > 5.0
+
+
+@pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
+def test_start_at_goal_logs_one_record(mode):
+    trace = []
+    search = Search(GridMap.empty(6, 6), ConstraintTable([]), (2, 3), (2, 3), mode, trace=trace)
+    end = search.run()
+    assert end.cfg == (2, 3) and end.g == 0.0 and end.parent is None
+    assert search.expansions == 0
+    assert trace == [((2, 3), 0.0, INF, 0.0, 0.0)]
+
+
+def test_cardinal_path_exit_leaves_plan_all_unchanged(monkeypatch):
+    # The exit returns the loop's own trajectory: plan_all gives the same
+    # statuses and trajectories when it always declines.
+    instances = []
+    for seed in range(80):
+        for grid in (GridMap.empty(12, 12), blocked_grid(12, 0.2, seed)):
+            instances.append(generate_instance(grid, 6, seed, "separated"))
+            instances.append(generate_instance(grid, 6, seed, "walk", walk_steps=6))
+
+    def outputs():
+        sols = [plan_all(inst, CARDINAL) for inst in instances]
+        return [(sol.statuses, [format_trajectory(t) if t else None for t in sol.trajectories])
+                for sol in sols]
+
+    served = []
+    l_path = Search._l_path
+
+    def counted(self, root, goal_iv):
+        served.append(l_path(self, root, goal_iv))
+        return served[-1]
+
+    monkeypatch.setattr(Search, "_l_path", counted)
+    with_exit = outputs()
+    monkeypatch.setattr(Search, "_l_path", lambda self, root, goal_iv: False)
+    assert outputs() == with_exit
+    assert len(instances) == 320
+    # Both outcomes occur often, and some runs fail.
+    assert served.count(True) > 500 and served.count(False) > 100
+    assert any(statuses != ["ok"] * 6 for statuses, _ in with_exit)
 
 
 # ------------------------------------------------------ successor mechanics

@@ -258,6 +258,12 @@ def test_load_agents_instance_format():
         load_agents("agents 3\n0 0 7 7\n", grid)
 
 
+def test_load_agents_rejects_rows_past_the_declared_count():
+    text = "agents 1\n0 0 3 3\n1 1 2 2\nfoo bar\n"
+    with pytest.raises(InstanceError, match=r"^header declares 1 agents, found 3$"):
+        load_agents(text, GridMap.empty(4, 4))
+
+
 def test_load_agents_scenario_format():
     grid = GridMap.empty(8, 8)
     text = (
