@@ -287,7 +287,9 @@ def main(argv=None) -> int:
     print(json.dumps(summary, indent=2))
     if args.out:
         emit_results(records, summary, args.out, dumps, traces)
-    return 0
+    # Unsolved and timed-out runs are results; a rejected solution or an
+    # unexpected exception is a fault.
+    return int(any(r.valid is False or r.error is not None for r in records))
 
 
 if __name__ == "__main__":

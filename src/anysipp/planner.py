@@ -24,23 +24,21 @@ No trajectory reaches the goal for good before B = max(h(start), T), where
 T is the start of the goal's last safe interval, the one unbounded above. So
 an arrival there at B is optimal, and the search ends as soon as it verifies
 one. A goal with no such interval fails before any expansion. Before the
-loop, each mode tries one path that would end there:
+loop, each mode walks one path of cells that would end there: in any-angle
+mode the straight move from the start to the goal, departing any time the
+start's interval allows; in cardinal mode, when B = h(start), the path the
+loop pops first when no step is delayed. Along that path f stays h(start),
+the deepest entry pops first and ties go to the smaller x, then the smaller
+y, so it runs along x first toward a goal on the left and along y first
+otherwise. A one-cell hop of the walk counts only if the map's successor
+table holds it, since its corners are checked there. Every hop before the
+last must arrive undelayed, and the last hop, into the goal's last
+interval, is verified as below. The walk falls back to the loop at the first
+hop that fails; a cardinal walk's trajectory is the one the loop would return.
 
-- any-angle: the straight move from the start, departing any time the
-  start's interval allows; a neighbour step counts only if the map's
-  successor table holds it, since its corners are checked there;
-- cardinal, when B = h(start) and the start is not the goal: the path the
-  loop pops first when no step is delayed. Along it f stays h(start), the
-  deepest entry pops first and ties go to the smaller x, then the smaller y,
-  so it runs along x first toward a goal on the left and along y first
-  otherwise. Every step must be in the successor table and arrive undelayed,
-  one time unit after its departure; the loop falls back at the first that
-  does not, and its trajectory is the one the loop would return.
-
-Either way the last move into the goal's last interval is verified as below.
-In both modes a candidate into that interval whose lower bound is at most B
-is verified when it is generated rather than when it is popped, and ends the
-search if its true arrival is at most B.
+In both modes a candidate into the goal's last interval whose lower bound is
+at most B is verified when it is generated rather than when it is popped,
+and ends the search if its true arrival is at most B.
 
 The heuristic is the Euclidean distance to the goal in any-angle mode and the
 Manhattan distance in cardinal mode. On a grid with a blocked cell it is
@@ -281,7 +279,7 @@ class Search:
 
     def _candidate(self, x, y, idx, iv, h, src: SearchState, fallback) -> bool:
         """Pushes src's candidate for safe interval idx of cell (x, y) unless
-        the node there beats it (:meth:`_beaten`, inlined). Returns whether
+        the node there beats it (:meth:`_beaten`). Returns whether
         src can reach the interval at all. The candidate's arrival ignores
         the move's windows, which can only delay it, so its g is a lower
         bound; :meth:`_verify` computes the true one."""
@@ -293,9 +291,7 @@ class Search:
         g = start_t if start_t >= lo else lo
         if not h and g <= self.bound and hi == INF and self._at_bound(x, y, iv, src):
             return True
-        node = self.nodes.get(((x, y), idx))
-        if (node is None or g < node.g - TOL
-                or (g < node.g + TOL and node.parent is not None and src.g < node.parent.g - TOL)):
+        if not self._beaten(((x, y), idx), g, src):
             self._seq += 1
             heappush(self.open, (g + h, -g, x, y, idx, src.g, self._seq, src, fallback))
         return True
@@ -321,42 +317,35 @@ class Search:
         return earliest_arrival(cols, src.g + m_time, src.interval.end + m_time, iv)
 
     def _verify(self, candidate) -> None:
-        """Checks a popped candidate's move through :meth:`_cols_for` and
-        applies its true arrival to the node; then, for a shortcut, pushes
-        its fallback's own candidate for the interval unless it is beaten by
-        now."""
+        """Checks a popped candidate's move through :meth:`_cols_for` unless
+        its node beats it already, and applies the true arrival: it creates
+        or improves the node, or takes an equal-cost tie from a more
+        ancestral source. Then, for a shortcut, pushes its fallback's own
+        candidate for the interval unless it is beaten by now."""
         _, ng, x, y, idx, _, _, src, fallback = candidate
-        ivs, h = self._cells[(x, y)]
-        self._arrive(x, y, idx, ivs[idx], h, -ng, src)
-        if fallback is not None:
-            self._candidate(x, y, idx, ivs[idx], h, fallback, None)
-
-    def _arrive(self, x, y, idx, iv, h, g, src: SearchState) -> None:
-        """Creates or improves the node at interval idx of (x, y) with the
-        true arrival from src, or takes an equal-cost tie from a more
-        ancestral source."""
         cfg = (x, y)
         key = (cfg, idx)
-        if self._beaten(key, g, src):
-            return
-        g = self._arrival(cfg, iv, src)
-        if g is None or self._beaten(key, g, src):
-            return
-        node = self.nodes.get(key)
-        if node is None:
-            self.nodes[key] = SearchState(cfg, iv, g, src)
-        else:
-            node.parent = src
-            if g >= node.g - TOL:
+        ivs, h = self._cells[cfg]
+        g = None if self._beaten(key, -ng, src) else self._arrival(cfg, ivs[idx], src)
+        if g is not None and not self._beaten(key, g, src):
+            node = self.nodes.get(key)
+            if node is not None and g >= node.g - TOL:
                 # Equal-cost tie from a more ancestral source: take it, so
                 # parent chains collapse onto straight sight lines. The node
                 # keeps its g, within TOL of the arrival from src, so its
                 # open entry stays valid.
-                return
-            node.g = g
-        # Verified entries sort 2*TOL late, so that a candidate whose lower
-        # bound ties them within TOL is verified before the node expands.
-        heappush(self.open, (g + h + 2 * TOL, -g, x, y, idx))
+                node.parent = src
+            else:
+                if node is None:
+                    self.nodes[key] = SearchState(cfg, ivs[idx], g, src)
+                else:
+                    node.parent, node.g = src, g
+                # Verified entries sort 2*TOL late, so that a candidate whose
+                # lower bound ties them within TOL is verified before the
+                # node expands.
+                heappush(self.open, (g + h + 2 * TOL, -g, x, y, idx))
+        if fallback is not None:
+            self._candidate(x, y, idx, ivs[idx], h, fallback, None)
 
     def expand(self, s: SearchState) -> None:
         """Relaxes the moves from s to its neighbours in the map's successor
@@ -376,40 +365,41 @@ class Search:
                 if not (shortcut and self._candidate(x, y, idx, iv, h, par, s)):
                     self._candidate(x, y, idx, iv, h, s, None)
 
-    def _l_path(self, root: SearchState, goal_iv: TimeInterval) -> bool:
-        """Cardinal mode: walks the path the loop pops first when no step is
-        delayed (see the module docstring), from root into the goal's last
-        interval goal_iv. Keeps the goal state as :attr:`reached` and returns
-        True if every step is in the successor table and arrives undelayed;
-        False at the first step that does not."""
-        (x0, y0), (gx, gy) = self.start, self.goal
-        sx, sy = (1 if gx > x0 else -1), (1 if gy > y0 else -1)
-        xs, ys = range(x0 + sx, gx + sx, sx), range(y0 + sy, gy + sy, sy)
-        if gx < x0:
-            path = [(x, y0) for x in xs] + [(gx, y) for y in ys]
-        else:
-            path = [(x0, y) for y in ys] + [(x, gy) for x in xs]
+    def _walk(self, root: SearchState, path, goal_iv: TimeInterval) -> bool:
+        """Walks path, a list of cells that ends at the goal, from root (see
+        the module docstring). A one-cell hop counts only if the successor
+        table holds it, which is checked before the cell is recorded. Every
+        hop but the last must arrive undelayed, at its source's g + 1, in a
+        safe interval of its cell; the last goes through :meth:`_at_bound`
+        into the goal's last interval goal_iv. Returns True, with the goal
+        state kept as :attr:`reached`, if every hop passes; False at the
+        first that fails, or for an empty path."""
         src = root
-        for cfg in path[:-1]:
-            if cfg not in self._next[src.cfg]:
+        for cfg in path:
+            x, y = cfg
+            if (abs(x - src.cfg[0]) <= 1 and abs(y - src.cfg[1]) <= 1
+                    and cfg not in self._next[src.cfg]):
                 return False
+            if cfg == self.goal:
+                return self._at_bound(x, y, goal_iv, src)
             t = src.g + 1.0
             iv = next((iv for iv in self._record(cfg)[0] if iv.start <= t <= iv.end), None)
             if iv is None or self._arrival(cfg, iv, src) != t:
                 return False
             src = SearchState(cfg, iv, t, src)
-        return self.goal in self._next[src.cfg] and self._at_bound(gx, gy, goal_iv, src)
+        return False
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SearchState:
         """The goal state of a conflict-free trajectory from the start. Every
-        refusal is raised here before the search starts. It then tries its
-        mode's pre-loop path: the straight move from the start in any-angle
-        mode, the undelayed L path (:meth:`_l_path`) in cardinal mode. Where
-        that fails, the loop ends at a goal pop or at a candidate verified at
-        the bound (:meth:`_at_bound`). Either exit sets :attr:`reached`, and
-        an agent served before the loop logs only its start and its goal."""
+        refusal is raised here before the search starts. It then chooses its
+        mode's pre-loop path and walks it (:meth:`_walk`): the goal alone in
+        any-angle mode, the undelayed L path in cardinal mode when B =
+        h(start). Where the walk fails, the loop ends at a goal pop or at a
+        candidate verified at the bound (:meth:`_at_bound`). Either exit sets
+        :attr:`reached`, and an agent served before the loop logs only its
+        start and its goal."""
         start, goal, grid = self.start, self.goal, self.grid
         if not grid.is_traversable(start):
             raise StartUnsafe(f"start {start} is blocked or out of bounds")
@@ -430,13 +420,18 @@ class Search:
             raise GoalUnreachable(f"goal {goal} is never free for good")
         goal_iv = goal_ivs[-1]
         self.bound = max(h, goal_iv.start)
+        path = []
         if self.mode.any_angle:
-            dx, dy = goal[0] - start[0], goal[1] - start[1]
-            served = ((abs(dx) > 1 or abs(dy) > 1 or goal in self._next[start])
-                      and self._at_bound(goal[0], goal[1], goal_iv, root))
-        else:
-            served = self.bound == h and start != goal and self._l_path(root, goal_iv)
-        if served:
+            path = [goal]
+        elif self.bound == h:
+            (x0, y0), (gx, gy) = start, goal
+            sx, sy = (1 if gx > x0 else -1), (1 if gy > y0 else -1)
+            xs, ys = range(x0 + sx, gx + sx, sx), range(y0 + sy, gy + sy, sy)
+            if gx < x0:
+                path = [(x, y0) for x in xs] + [(gx, y) for y in ys]
+            else:
+                path = [(x0, y) for y in ys] + [(x, gy) for x in xs]
+        if self._walk(root, path, goal_iv):
             self._log(root)
         else:
             heappush(self.open, (h, 0.0, start[0], start[1], 0))

@@ -203,7 +203,8 @@ def generate_instance(
 def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> Instance:
     """Parse either the ``agents N`` instance format, which must hold
     exactly N agent rows, or a benchmark scenario file (header ``version
-    ...``); agents keep file order (FIFO priority)."""
+    ...``), whose rows must name the grid's width and height; agents keep
+    file order (FIFO priority)."""
     if max_agents is not None and max_agents < 0:
         raise InstanceError(f"{max_agents} agents requested")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -230,6 +231,9 @@ def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> I
             parts = ln.split()
             if len(parts) < 9:
                 raise InstanceError(f"malformed scenario row: {ln!r}")
+            if parts[2:4] != [str(grid.width), str(grid.height)]:
+                raise InstanceError(f"row {ln!r} is for a {parts[2]}x{parts[3]} map, "
+                                    f"not the {grid.width}x{grid.height} grid")
             rows.append((ln, parts[4:8]))
     else:
         raise InstanceError(f"unrecognized instance header: {lines[0]!r}")

@@ -16,6 +16,7 @@ from anysipp.cli import (
 )
 from anysipp.grid import GridMap
 from anysipp.prioritized import Instance, generate_instance
+from anysipp.validate import ValidationReport
 
 from oracles import parse_csv
 
@@ -326,6 +327,28 @@ def test_main_rejects_an_unusable_out_prefix_before_planning(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("fault, status", [
+    (None, 0), ("unsolved", 0), ("rejected", 1), ("raised", 1),
+])
+def test_main_exit_status_reports_rejected_and_raised_runs(tmp_path, capsys, monkeypatch,
+                                                          fault, status):
+    map_path = write_empty_map(tmp_path / "m.map")
+    argv = ["--map", str(map_path), "--generate", "separated", "--agents", "2",
+            "--instances", "2", "--mode", "both"]
+    if fault == "unsolved":
+        argv += ["--timeout", "1e-9"]
+    elif fault == "rejected":
+        report = ValidationReport(static_violations=[(0, 0, (0, 0))])
+        monkeypatch.setattr(cli, "validate_solution", lambda instance, sol: report)
+    elif fault == "raised":
+        def broken_plan_all(instance, mode, **kw):
+            raise ValueError("bad instance")
+        monkeypatch.setattr(cli, "plan_all", broken_plan_all)
+    assert main(argv) == status
+    out = capsys.readouterr().out
+    assert out.count("success=True") == (4 if fault is None else 0)
 
 
 def test_summarize_common_restriction():

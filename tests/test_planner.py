@@ -415,7 +415,7 @@ def test_free_cardinal_path_ends_before_any_expansion(goal, cells, monkeypatch):
     assert [wp.arrival for wp in traj.waypoints] == list(range(len(cells)))
     assert [rec[0] for rec in trace] == [(5, 5), goal]
     # The loop alone returns the same waypoints.
-    monkeypatch.setattr(Search, "_l_path", lambda self, root, goal_iv: False)
+    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
     loop = Search(GridMap.empty(10, 10), ConstraintTable([]), (5, 5), goal, CARDINAL)
     assert reconstruct(loop.run()).waypoints == traj.waypoints
     assert loop.expansions > 0
@@ -470,20 +470,48 @@ def test_cardinal_path_exit_leaves_plan_all_unchanged(monkeypatch):
                 for sol in sols]
 
     served = []
-    l_path = Search._l_path
+    walk = Search._walk
 
-    def counted(self, root, goal_iv):
-        served.append(l_path(self, root, goal_iv))
-        return served[-1]
+    def counted(self, root, path, goal_iv):
+        result = walk(self, root, path, goal_iv)
+        if path:
+            served.append(result)
+        return result
 
-    monkeypatch.setattr(Search, "_l_path", counted)
+    monkeypatch.setattr(Search, "_walk", counted)
     with_exit = outputs()
-    monkeypatch.setattr(Search, "_l_path", lambda self, root, goal_iv: False)
+    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
     assert outputs() == with_exit
     assert len(instances) == 320
     # Both outcomes occur often, and some runs fail.
     assert served.count(True) > 500 and served.count(False) > 100
     assert any(statuses != ["ok"] * 6 for statuses, _ in with_exit)
+
+
+def test_walk_records_no_cell_outside_the_successor_table(monkeypatch):
+    # On these maps a cell off the successor table is a blocked one, and
+    # recording it would run the backward distance search to exhaustion. The
+    # walk checks each one-cell hop against the table before it records the
+    # cell, also where the cardinal path crosses a blocked cell.
+    record, walk, crossing = Search._record, Search._walk, []
+
+    def checked_record(self, cfg):
+        assert self.grid.is_traversable(cfg), cfg
+        return record(self, cfg)
+
+    def watched_walk(self, root, path, goal_iv):
+        crossing.append(not self.grid.cells_traversable(path))
+        return walk(self, root, path, goal_iv)
+
+    monkeypatch.setattr(Search, "_record", checked_record)
+    monkeypatch.setattr(Search, "_walk", watched_walk)
+    for seed in range(40):
+        grid = blocked_grid(12, 0.2, seed)
+        for protocol in ("separated", "walk"):
+            inst = generate_instance(grid, 6, seed, protocol, walk_steps=6)
+            for mode in (AA, CARDINAL):
+                plan_all(inst, mode)
+    assert crossing.count(True) > 100
 
 
 # ------------------------------------------------------ successor mechanics
@@ -598,15 +626,17 @@ def test_equal_cost_tie_takes_the_more_ancestral_source():
     iv = search.table.safe_intervals_at((0, 0))[0]
     root = SearchState((0, 0), iv, 0.0, None)
     mid = SearchState((1, 1), iv, math.sqrt(2), root)
-    ivs, h = search._record((3, 3))
+    _, h = search._record((3, 3))
+    # Candidates (f, -g, x, y, idx, src.g, seq, src, fallback), as expand
+    # pushes them; with no obstacles their g is the true arrival.
     via_mid = mid.g + math.hypot(2, 2)
-    search._arrive(3, 3, 0, ivs[0], h, via_mid, mid)
+    search._verify((via_mid + h, -via_mid, 3, 3, 0, mid.g, 1, mid, None))
     node = search.nodes[((3, 3), 0)]
     assert node.parent is mid and node.g == via_mid
     direct = math.hypot(3, 3)
     assert direct != via_mid and abs(direct - via_mid) < TOL
     entries = list(search.open)
-    search._arrive(3, 3, 0, ivs[0], h, direct, root)
+    search._verify((direct + h, -direct, 3, 3, 0, root.g, 2, root, None))
     assert node.parent is root
     assert node.g == via_mid
     assert search.open == entries

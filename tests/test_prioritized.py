@@ -277,6 +277,16 @@ def test_load_agents_scenario_format():
     assert len(inst2.agents) == 2
 
 
+@pytest.mark.parametrize("size", ["32 32", "32 64", "64 64"])
+def test_load_agents_rejects_a_scenario_row_for_another_map_size(size):
+    # Columns 3 and 4 of a scenario row give the map's width and height.
+    grid = GridMap.empty(64, 32)
+    row = f"0 other.map {size} 1 1 2 2 1.0"
+    with pytest.raises(InstanceError, match=re.escape(repr(row)) + " is for a .* map, not the 64x32 grid"):
+        load_agents(f"version 1\n0 other.map 64 32 0 0 3 3 4.2\n{row}\n", grid)
+    assert load_agents("version 1\n0 other.map 64 32 1 1 2 2 1.0\n", grid).agents == [((1, 1), (2, 2))]
+
+
 def test_load_agents_rejects_garbage():
     grid = GridMap.empty(4, 4)
     with pytest.raises(InstanceError):
