@@ -33,7 +33,11 @@ y, so it runs along x first toward a goal on the left and along y first
 otherwise. A one-cell hop of the walk counts only if the map's successor
 table holds it, since its corners are checked there. Every hop before the
 last must arrive undelayed, and the last hop, into the goal's last
-interval, is verified as below. The walk falls back to the loop at the first
+interval, is verified as below. A hop before the last between two cells
+that hold no obstacle piece passes without records or windows: a cardinal
+step sweeps only its two end cells, under which the table indexes every
+piece that can meet it, so it has no collision windows and its cell has the
+one safe interval [0, inf). The walk falls back to the loop at the first
 hop that fails; a cardinal walk's trajectory is the one the loop would return.
 
 In both modes a candidate into the goal's last interval whose lower bound is
@@ -248,7 +252,8 @@ class Search:
         cell cuts its line of sight; built once per move and search. A
         neighbour step sweeps its ends and corners, which the map's successor
         table has checked. A longer move enumerates its swept cells, on a
-        blocked grid for line of sight too."""
+        blocked grid for line of sight too. A move whose swept cells hold no
+        obstacle piece has no windows, and none are built."""
         key = (a, b)
         if key in self._cols:
             return self._cols[key]
@@ -261,7 +266,8 @@ class Search:
             if self.grid.any_blocked and not self.grid.cells_traversable(cells):
                 cols = None
         if cols is not None and table._passes:
-            cols = tuple(collision_intervals_for_move(a, b, _relevant_from_cells(cells, table)))
+            pieces = _relevant_from_cells(cells, table)
+            cols = tuple(collision_intervals_for_move(a, b, pieces)) if pieces else ()
         self._cols[key] = cols
         return cols
 
@@ -371,10 +377,13 @@ class Search:
         table holds it, which is checked before the cell is recorded. Every
         hop but the last must arrive undelayed, at its source's g + 1, in a
         safe interval of its cell; the last goes through :meth:`_at_bound`
-        into the goal's last interval goal_iv. Returns True, with the goal
-        state kept as :attr:`reached`, if every hop passes; False at the
-        first that fails, or for an empty path."""
-        src = root
+        into the goal's last interval goal_iv. An earlier hop whose two cells
+        hold no obstacle piece needs neither :meth:`_record` nor
+        :meth:`_arrival`: the one-cell step sweeps only those cells, so it
+        has no windows and arrives in the interval [0, inf). Returns True,
+        with the goal state kept as :attr:`reached`, if every hop passes;
+        False at the first that fails, or for an empty path."""
+        src, passes = root, self.table._passes
         for cfg in path:
             x, y = cfg
             if (abs(x - src.cfg[0]) <= 1 and abs(y - src.cfg[1]) <= 1
@@ -383,9 +392,16 @@ class Search:
             if cfg == self.goal:
                 return self._at_bound(x, y, goal_iv, src)
             t = src.g + 1.0
-            iv = next((iv for iv in self._record(cfg)[0] if iv.start <= t <= iv.end), None)
-            if iv is None or self._arrival(cfg, iv, src) != t:
-                return False
+            if src.cfg not in passes and cfg not in passes:
+                # No windows and the interval [0, inf): of earliest_arrival's
+                # tests, only this one is left.
+                if t > src.interval.end + 1.0 + TOL:
+                    return False
+                iv = TimeInterval(0.0, INF)
+            else:
+                iv = next((iv for iv in self._record(cfg)[0] if iv.start <= t <= iv.end), None)
+                if iv is None or self._arrival(cfg, iv, src) != t:
+                    return False
             src = SearchState(cfg, iv, t, src)
         return False
 

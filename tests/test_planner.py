@@ -421,6 +421,46 @@ def test_free_cardinal_path_ends_before_any_expansion(goal, cells, monkeypatch):
     assert loop.expansions > 0
 
 
+def test_free_cardinal_path_builds_no_records_or_windows_on_its_way(monkeypatch):
+    # The one obstacle piece lies far from the path, so every hop before the
+    # goal's touches no cell that holds a piece and is accepted as it is:
+    # the search records only the start and the goal and builds only the
+    # goal hop's windows.
+    grid, start, goal = GridMap.empty(64, 64), (2, 2), (30, 40)
+    table = ConstraintTable([make_traj([(60, 60), (60, 50)])])
+    search = Search(grid, table, start, goal, CARDINAL)
+    traj = reconstruct(search.run())
+    assert search.expansions == 0
+    assert len(search._cols) == 1
+    assert len(search._cells) == 2
+    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
+    loop = Search(grid, table, start, goal, CARDINAL)
+    assert reconstruct(loop.run()).waypoints == traj.waypoints
+
+
+def test_walk_checks_a_hop_whose_piece_lies_under_its_source_only(monkeypatch):
+    # The obstacle runs along row 3 and crosses column 1 at t = 3, just as
+    # the undelayed path up column 1 leaves (1, 3) for (1, 4). The table
+    # indexes the piece under (1, 3) but not under (1, 2) or (1, 4), so a
+    # walk that looked only at each hop's destination would take that hop.
+    grid, start, goal = GridMap.empty(8, 8), (1, 1), (1, 6)
+    obstacle = Trajectory([Waypoint((3, 3), 0.0, 1.0), Waypoint((0, 3), 4.0, INF)])
+    table = ConstraintTable([obstacle])
+    assert (1, 3) in table._passes
+    assert (1, 2) not in table._passes and (1, 4) not in table._passes
+    search = Search(grid, table, start, goal, CARDINAL)
+    traj = reconstruct(search.run())
+    assert search.expansions > 0
+    assert first_conflict(traj, obstacle) is None
+    # The plan waits about 2.41, which the oracle's quarter ticks cannot
+    # express, so the oracle bounds it from above only.
+    oracle = time_expanded_exact_best_cost(grid, [obstacle], start, goal)
+    assert 5.0 < traj.cost() <= oracle + 1e-6
+    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
+    loop = Search(grid, table, start, goal, CARDINAL)
+    assert reconstruct(loop.run()).waypoints == traj.waypoints
+
+
 @pytest.mark.parametrize("case", ["parked on the first leg", "late goal", "blocked cell"])
 def test_cardinal_path_falls_back_to_the_loop(case):
     # Start (1, 1), goal (6, 6): the undelayed path would run up column 1
@@ -463,29 +503,40 @@ def test_cardinal_path_exit_leaves_plan_all_unchanged(monkeypatch):
         for grid in (GridMap.empty(12, 12), blocked_grid(12, 0.2, seed)):
             instances.append(generate_instance(grid, 6, seed, "separated"))
             instances.append(generate_instance(grid, 6, seed, "walk", walk_steps=6))
+    assert len(instances) == 320
+    # On a sparse map most walk hops touch no cell that holds an obstacle
+    # piece, and pass without records or windows.
+    for seed in range(20):
+        grid = GridMap.empty(32, 32)
+        instances.append(generate_instance(grid, 6, seed, "separated"))
+        instances.append(generate_instance(grid, 6, seed, "walk", walk_steps=20))
 
     def outputs():
         sols = [plan_all(inst, CARDINAL) for inst in instances]
         return [(sol.statuses, [format_trajectory(t) if t else None for t in sol.trajectories])
                 for sol in sols]
 
-    served = []
+    served, sparse_hops = [], []
     walk = Search._walk
 
     def counted(self, root, path, goal_iv):
         result = walk(self, root, path, goal_iv)
         if path:
             served.append(result)
+        if path and self.grid.width == 32:
+            passes, cells = self.table._passes, [root.cfg] + path[:-1]
+            sparse_hops.extend(a not in passes and b not in passes
+                               for a, b in zip(cells, cells[1:]))
         return result
 
     monkeypatch.setattr(Search, "_walk", counted)
     with_exit = outputs()
     monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
     assert outputs() == with_exit
-    assert len(instances) == 320
     # Both outcomes occur often, and some runs fail.
     assert served.count(True) > 500 and served.count(False) > 100
     assert any(statuses != ["ok"] * 6 for statuses, _ in with_exit)
+    assert len(sparse_hops) > 1000 and sparse_hops.count(True) > 0.9 * len(sparse_hops)
 
 
 def test_walk_records_no_cell_outside_the_successor_table(monkeypatch):
