@@ -116,7 +116,7 @@ def run_benchmark(config: BenchConfig):
     ]
     results = []
     if config.workers > 1 and len(tasks) > 1:
-        with Pool(config.workers) as pool:
+        with Pool(min(config.workers, len(tasks))) as pool:
             results = list(pool.imap(_run_instance, tasks))
     else:
         results = [_run_instance(t) for t in tasks]

@@ -152,11 +152,12 @@ class Search:
     Exposed for tests and tracing; most callers should use :func:`plan`.
 
     The open list holds two kinds of entries, both keyed by f, then -g:
-    verified states ``(f + 2*TOL, -g, x, y, idx)``, and candidates ``(f, -g,
-    x, y, idx, src.g, seq, src, fallback)`` whose g is a lower bound and whose
-    move is verified by :meth:`_verify` when popped. Equal candidate keys pop
-    the more ancestral source first. ``fallback`` is None, or for a shortcut
-    from src the expanded state whose own candidate waits on this one.
+    verified states ``(f + 2*TOL, -g, cfg, idx)``, and candidates ``(f, -g,
+    cfg, idx, src.g, seq, src, fallback)`` whose g is a lower bound and whose
+    move is verified by :meth:`_verify` when popped. Equal keys pop the
+    smaller cell first, and equal candidate keys the more ancestral source.
+    ``fallback`` is None, or for a shortcut from src the expanded state whose
+    own candidate waits on this one.
 
     ``bound`` is the bound B of the module docstring (-inf until :meth:`run`
     sets it), and ``reached`` the goal state the search ends with.
@@ -190,8 +191,10 @@ class Search:
         self.bound = -INF
         self.reached: Optional[SearchState] = None
         # The lazy backward search of _distance, on a blocked grid only: the
-        # closed cells' distances, the best distances found so far, and the
-        # open list of (key, -distance, cell), seeded with the goal.
+        # closed cells' distances, the best distances pushed so far, and the
+        # open list of (key, -distance, cell), seeded with the goal. The best
+        # distances keep out a longer entry whose key rounds to a shorter
+        # one's: it would pop first and close its cell an ulp long.
         self._dist = {} if grid.any_blocked else None
         self._dbest = {self.goal: 0.0}
         self._dopen: list = [(0.0, 0.0, self.goal)]
@@ -283,33 +286,33 @@ class Search:
         return not (g < node.g + TOL and node.parent is not None
                     and src.g < node.parent.g - TOL)
 
-    def _candidate(self, x, y, idx, iv, h, src: SearchState, fallback) -> bool:
-        """Pushes src's candidate for safe interval idx of cell (x, y) unless
+    def _candidate(self, cfg, idx, iv, h, src: SearchState, fallback) -> bool:
+        """Pushes src's candidate for safe interval idx of cell cfg unless
         the node there beats it (:meth:`_beaten`). Returns whether
         src can reach the interval at all. The candidate's arrival ignores
         the move's windows, which can only delay it, so its g is a lower
         bound; :meth:`_verify` computes the true one."""
-        m_time = math.hypot(x - src.cfg[0], y - src.cfg[1])
+        m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
         start_t = src.g + m_time
         lo, hi = iv
         if lo > src.interval.end + m_time or hi < start_t:
             return False
         g = start_t if start_t >= lo else lo
-        if not h and g <= self.bound and hi == INF and self._at_bound(x, y, iv, src):
+        if not h and g <= self.bound and hi == INF and self._at_bound(cfg, iv, src):
             return True
-        if not self._beaten(((x, y), idx), g, src):
+        if not self._beaten((cfg, idx), g, src):
             self._seq += 1
-            heappush(self.open, (g + h, -g, x, y, idx, src.g, self._seq, src, fallback))
+            heappush(self.open, (g + h, -g, cfg, idx, src.g, self._seq, src, fallback))
         return True
 
-    def _at_bound(self, x, y, iv, src: SearchState) -> bool:
+    def _at_bound(self, cfg, iv, src: SearchState) -> bool:
         """Verifies the move from src into the goal's last interval iv now,
         and keeps the goal state as :attr:`reached`, which ends
         :meth:`run`, if it arrives by the bound."""
-        g = self._arrival((x, y), iv, src)
+        g = self._arrival(cfg, iv, src)
         if g is None or g > self.bound:
             return False
-        self.reached = SearchState((x, y), iv, g, src)
+        self.reached = SearchState(cfg, iv, g, src)
         return True
 
     def _arrival(self, cfg, iv, src: SearchState) -> Optional[float]:
@@ -328,8 +331,7 @@ class Search:
         or improves the node, or takes an equal-cost tie from a more
         ancestral source. Then, for a shortcut, pushes its fallback's own
         candidate for the interval unless it is beaten by now."""
-        _, ng, x, y, idx, _, _, src, fallback = candidate
-        cfg = (x, y)
+        _, ng, cfg, idx, _, _, src, fallback = candidate
         key = (cfg, idx)
         ivs, h = self._cells[cfg]
         g = None if self._beaten(key, -ng, src) else self._arrival(cfg, ivs[idx], src)
@@ -349,9 +351,9 @@ class Search:
                 # Verified entries sort 2*TOL late, so that a candidate whose
                 # lower bound ties them within TOL is verified before the
                 # node expands.
-                heappush(self.open, (g + h + 2 * TOL, -g, x, y, idx))
+                heappush(self.open, (g + h + 2 * TOL, -g, cfg, idx))
         if fallback is not None:
-            self._candidate(x, y, idx, ivs[idx], h, fallback, None)
+            self._candidate(cfg, idx, ivs[idx], h, fallback, None)
 
     def expand(self, s: SearchState) -> None:
         """Relaxes the moves from s to its neighbours in the map's successor
@@ -368,8 +370,8 @@ class Search:
             x, y = cfg
             shortcut = par is not None and (abs(x - par.cfg[0]) > 1 or abs(y - par.cfg[1]) > 1)
             for idx, iv in enumerate(ivs):
-                if not (shortcut and self._candidate(x, y, idx, iv, h, par, s)):
-                    self._candidate(x, y, idx, iv, h, s, None)
+                if not (shortcut and self._candidate(cfg, idx, iv, h, par, s)):
+                    self._candidate(cfg, idx, iv, h, s, None)
 
     def _walk(self, root: SearchState, path, goal_iv: TimeInterval) -> bool:
         """Walks path, a list of cells that ends at the goal, from root (see
@@ -385,18 +387,13 @@ class Search:
         False at the first that fails, or for an empty path."""
         src, passes = root, self.table._passes
         for cfg in path:
-            x, y = cfg
-            if (abs(x - src.cfg[0]) <= 1 and abs(y - src.cfg[1]) <= 1
+            if (abs(cfg[0] - src.cfg[0]) <= 1 and abs(cfg[1] - src.cfg[1]) <= 1
                     and cfg not in self._next[src.cfg]):
                 return False
             if cfg == self.goal:
-                return self._at_bound(x, y, goal_iv, src)
+                return self._at_bound(cfg, goal_iv, src)
             t = src.g + 1.0
             if src.cfg not in passes and cfg not in passes:
-                # No windows and the interval [0, inf): of earliest_arrival's
-                # tests, only this one is left.
-                if t > src.interval.end + 1.0 + TOL:
-                    return False
                 iv = TimeInterval(0.0, INF)
             else:
                 iv = next((iv for iv in self._record(cfg)[0] if iv.start <= t <= iv.end), None)
@@ -413,9 +410,9 @@ class Search:
         mode's pre-loop path and walks it (:meth:`_walk`): the goal alone in
         any-angle mode, the undelayed L path in cardinal mode when B =
         h(start). Where the walk fails, the loop ends at a goal pop or at a
-        candidate verified at the bound (:meth:`_at_bound`). Either exit sets
-        :attr:`reached`, and an agent served before the loop logs only its
-        start and its goal."""
+        candidate verified at the bound (:meth:`_at_bound`). Every exit sets
+        :attr:`reached`, the state returned, and logs it last; an agent served
+        before the loop logs only its start and its goal."""
         start, goal, grid = self.start, self.goal, self.grid
         if not grid.is_traversable(start):
             raise StartUnsafe(f"start {start} is blocked or out of bounds")
@@ -450,7 +447,7 @@ class Search:
         if self._walk(root, path, goal_iv):
             self._log(root)
         else:
-            heappush(self.open, (h, 0.0, start[0], start[1], 0))
+            heappush(self.open, (h, 0.0, start, 0))
         pops = 0
         while self.reached is None:
             if not self.open:
@@ -459,19 +456,20 @@ class Search:
             pops += 1
             if self.deadline is not None and not pops & 127 and _time.monotonic() > self.deadline:
                 raise PlanTimeout("search deadline exceeded")
-            if len(entry) > 5:
+            if len(entry) > 4:
                 self._verify(entry)
-            else:
-                _, ng, cx, cy, idx = entry
-                node = self.nodes[((cx, cy), idx)]
-                if node.g != -ng:
-                    continue
-                if self.trace is not None:
-                    self._log(node)
-                if (cx, cy) == goal and math.isinf(node.interval.end):
-                    return node
-                self.expansions += 1
-                self.expand(node)
+                continue
+            _, ng, cfg, idx = entry
+            node = self.nodes[(cfg, idx)]
+            if node.g != -ng:
+                continue
+            if cfg == goal and math.isinf(node.interval.end):
+                self.reached = node
+                break
+            if self.trace is not None:
+                self._log(node)
+            self.expansions += 1
+            self.expand(node)
         self._log(self.reached)
         return self.reached
 

@@ -83,6 +83,29 @@ def test_worker_pool_preserves_record_order():
     assert key == [(r.instance, r.mode, r.success, r.cost) for r in records_par]
 
 
+def test_worker_pool_starts_at_most_one_process_per_instance(monkeypatch):
+    # The fake pool maps serially, so no process starts.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    records, _, _, _ = run_benchmark(small_config(timeout=30.0, workers=64))
+    assert sizes == [2]
+    assert len(records) == 4 and all(r.success for r in records)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unexpected_error_fails_only_its_runs(monkeypatch, tmp_path, workers):
     config = small_config(n_instances=3, timeout=30.0, workers=workers)

@@ -395,6 +395,18 @@ def test_cardinal_late_goal_ends_at_the_bound():
     assert_clear_of(reconstruct(end), [obstacle])
 
 
+@pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
+def test_goal_pop_exit_sets_reached(mode):
+    # The obstacle parked at (3, 0) makes the agent go round it, above the
+    # bound B = 6 in both modes (about 6.47 any-angle, 8 cardinal), so the
+    # search ends at a goal pop rather than at the bound.
+    table = ConstraintTable([make_traj([(3, 0)])])
+    search = Search(GridMap.empty(8, 8), table, (0, 0), (6, 0), mode)
+    end = search.run()
+    assert end is search.reached
+    assert search.expansions > 0 and end.g > search.bound == 6.0
+
+
 @pytest.mark.parametrize("goal, cells", [
     # Toward a goal on the left the path runs along x first...
     ((2, 8), [(5, 5), (4, 5), (3, 5), (2, 5), (2, 6), (2, 7), (2, 8)]),
@@ -483,6 +495,33 @@ def test_cardinal_path_falls_back_to_the_loop(case):
     assert traj.cost() == pytest.approx(oracle, abs=1e-6)
     if case == "late goal":
         assert search.bound == traj.cost() > 5.0
+
+
+def test_every_state_arrives_inside_its_interval(monkeypatch):
+    # Every state on a returned parent chain, the walk's included, holds a g
+    # inside its own safe interval; so a walk hop, which leaves its source at
+    # its g, never departs after the source's interval ends.
+    chains = []
+    run = Search.run
+
+    def recording_run(self):
+        end = run(self)
+        chains.append(end)
+        return end
+
+    monkeypatch.setattr(Search, "run", recording_run)
+    for seed in range(16):
+        for grid in (GridMap.empty(16, 16), blocked_grid(16, 0.2, seed)):
+            inst = generate_instance(grid, 6, seed, "separated")
+            for mode in (AA, CARDINAL):
+                plan_all(inst, mode)
+    assert len(chains) > 300
+    for end in chains:
+        node = end
+        while node is not None:
+            iv = node.interval
+            assert iv.start - TOL <= node.g <= iv.end + TOL, node
+            node = node.parent
 
 
 @pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
@@ -578,7 +617,7 @@ def expand_and_verify(search, state):
     search.expand(state)
     while search.open:
         entry = heappop(search.open)
-        if len(entry) > 5:
+        if len(entry) > 4:
             search._verify(entry)
 
 
@@ -678,23 +717,23 @@ def test_equal_cost_tie_takes_the_more_ancestral_source():
     root = SearchState((0, 0), iv, 0.0, None)
     mid = SearchState((1, 1), iv, math.sqrt(2), root)
     _, h = search._record((3, 3))
-    # Candidates (f, -g, x, y, idx, src.g, seq, src, fallback), as expand
+    # Candidates (f, -g, cfg, idx, src.g, seq, src, fallback), as expand
     # pushes them; with no obstacles their g is the true arrival.
     via_mid = mid.g + math.hypot(2, 2)
-    search._verify((via_mid + h, -via_mid, 3, 3, 0, mid.g, 1, mid, None))
+    search._verify((via_mid + h, -via_mid, (3, 3), 0, mid.g, 1, mid, None))
     node = search.nodes[((3, 3), 0)]
     assert node.parent is mid and node.g == via_mid
     direct = math.hypot(3, 3)
     assert direct != via_mid and abs(direct - via_mid) < TOL
     entries = list(search.open)
-    search._verify((direct + h, -direct, 3, 3, 0, root.g, 2, root, None))
+    search._verify((direct + h, -direct, (3, 3), 0, root.g, 2, root, None))
     assert node.parent is root
     assert node.g == via_mid
     assert search.open == entries
     # The entry still passes the staleness test of Search.run, so the node
     # expands, and from its new parent: (4, 4) is the root's shortcut.
-    _, ng, x, y, idx = heappop(search.open)
-    assert search.nodes[((x, y), idx)] is node and node.g == -ng
+    _, ng, cfg, idx = heappop(search.open)
+    assert search.nodes[(cfg, idx)] is node and node.g == -ng
     expand_and_verify(search, node)
     assert search.nodes[((4, 4), 0)].parent is root
     assert search.nodes[((4, 4), 0)].g == math.hypot(4, 4)
