@@ -9,6 +9,7 @@ import re
 import sys
 import time as _time
 from dataclasses import asdict, dataclass
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,24 +50,14 @@ class RunRecord:
     failed_agent: Optional[int] = None
 
 
-@dataclass
-class BenchConfig:
-    instances: List[Tuple[str, int, Instance]]  # (id, seed, instance)
-    modes: List[str]
-    timeout: float = 300.0
-    dump_trajectories: bool = False
-    collect_traces: bool = False
-    workers: int = 1
-
-
-def _run_instance(task):
-    """Plans, validates and records one instance in each mode. A run
-    succeeds only if its solution is complete and the validator agrees;
-    ``time_s`` is the planning time, or the time up to an exception."""
-    (inst_id, seed, instance), modes, timeout, dump, traces = task
-    records = []
-    dumps = []
-    trace_lines = []
+def _run_instance(entry, modes, timeout, dump, traces):
+    """Plans, validates and records an ``(id, seed, instance)`` entry in each
+    of ``modes`` within ``timeout`` seconds; returns (records, dump lines,
+    trace lines), the last two filled only if ``dump`` / ``traces`` is set.
+    A run succeeds only if its solution is complete and the validator
+    agrees; ``time_s`` is the planning time, or the time up to an exception."""
+    inst_id, seed, instance = entry
+    records, dumps, trace_lines = [], [], []
     for mode_name in modes:
         mode = MODE_NAMES[mode_name]
         t0 = _time.monotonic()
@@ -105,29 +96,21 @@ def _run_instance(task):
     return records, dumps, trace_lines
 
 
-def run_benchmark(config: BenchConfig):
-    """Execute every (instance, mode) pair; returns (records, summary, dumps,
-    trace lines). Records are ordered by instance then mode regardless of
-    worker scheduling."""
-    tasks = [
-        (entry, config.modes, config.timeout, config.dump_trajectories,
-         config.collect_traces)
-        for entry in config.instances
-    ]
-    results = []
-    if config.workers > 1 and len(tasks) > 1:
-        with Pool(min(config.workers, len(tasks))) as pool:
-            results = list(pool.imap(_run_instance, tasks))
+def run_benchmark(instances, modes, timeout, *, dump=False, traces=False, workers=1):
+    """Execute every (instance, mode) pair over the ``(id, seed, instance)``
+    entries, in a pool of ``min(workers, len(instances))`` processes if that
+    exceeds 1; returns (records, summary, dumps, trace lines). Records are
+    ordered by instance then mode regardless of worker scheduling."""
+    run = partial(_run_instance, modes=modes, timeout=timeout, dump=dump, traces=traces)
+    if workers > 1 and len(instances) > 1:
+        with Pool(min(workers, len(instances))) as pool:
+            results = list(pool.imap(run, instances))
     else:
-        results = [_run_instance(t) for t in tasks]
-    records: List[RunRecord] = []
-    dumps: List[str] = []
-    traces: List[str] = []
-    for rec, dmp, trc in results:
-        records.extend(rec)
-        dumps.extend(dmp)
-        traces.extend(trc)
-    return records, summarize(records, config.modes), dumps, traces
+        results = [run(entry) for entry in instances]
+    records = [r for rec, _, _ in results for r in rec]
+    dumps = [line for _, dmp, _ in results for line in dmp]
+    trace_lines = [line for _, _, trc in results for line in trc]
+    return records, summarize(records, modes), dumps, trace_lines
 
 
 def summarize(records: Sequence[RunRecord], modes: Sequence[str]) -> Dict:
@@ -183,8 +166,9 @@ def format_csv(records: Sequence[RunRecord]) -> str:
 
 
 def emit_results(records, summary, prefix: str, dumps=None, traces=None) -> None:
-    prefix_path = Path(prefix)
-    prefix_path.parent.mkdir(parents=True, exist_ok=True)
+    """Writes ``PREFIX.csv`` and ``PREFIX.json``, plus ``PREFIX.paths.txt``
+    and ``PREFIX.trace`` when ``dumps`` or ``traces`` holds lines. The
+    prefix's directory must exist; ``main`` creates it before planning."""
     Path(f"{prefix}.csv").write_text(format_csv(records))
     payload = {"records": [asdict(r) for r in records], "summary": summary}
     Path(f"{prefix}.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -219,10 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args) -> BenchConfig:
+def _instances_from_args(args) -> List[Tuple[str, int, Instance]]:
     grid = parse_map(Path(args.map).read_text())
     map_stem = Path(args.map).stem
-    modes = list(MODE_NAMES) if args.mode == "both" else [args.mode]
     instances: List[Tuple[str, int, Instance]] = []
     if args.agents is not None and args.agents < 1:
         raise InstanceError(f"--agents must be at least 1, got {args.agents}")
@@ -259,25 +242,22 @@ def _config_from_args(args) -> BenchConfig:
     if args.out:
         # An unusable prefix fails here, before any planning.
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    return BenchConfig(
-        instances=instances,
-        modes=modes,
-        timeout=args.timeout,
-        dump_trajectories=args.dump_trajectories,
-        collect_traces=args.trace,
-        workers=args.workers,
-    )
+    return instances
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        instances = _instances_from_args(args)
     except (OSError, MapFormatError, InstanceError, GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records, summary, dumps, traces = run_benchmark(config)
+    modes = list(MODE_NAMES) if args.mode == "both" else [args.mode]
+    records, summary, dumps, traces = run_benchmark(
+        instances, modes, args.timeout, dump=args.dump_trajectories, traces=args.trace,
+        workers=args.workers,
+    )
     for r in records:
         cost = "-" if r.cost is None else f"{r.cost:.2f}"
         print(

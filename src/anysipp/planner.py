@@ -418,7 +418,8 @@ class Search:
             raise StartUnsafe(f"start {start} is blocked or out of bounds")
         if not grid.is_traversable(goal):
             raise GoalUnreachable(f"goal {goal} is blocked or out of bounds")
-        if self.deadline is not None and _time.monotonic() > self.deadline:
+        # `not <=` so that a NaN deadline, which no clock reading passes, refuses too.
+        if self.deadline is not None and not _time.monotonic() <= self.deadline:
             raise PlanTimeout("deadline exceeded before search start")
         ivs, h = self._record(start)
         if not ivs or ivs[0].start > TOL:

@@ -74,7 +74,8 @@ def plan_all(
 ) -> Solution:
     """Plan every agent in priority order against the accumulated higher
     priority trajectories. The first failure aborts the chain: the agent
-    gets its error's ``status``, and the remaining agents are skipped."""
+    gets its error's ``status``, and the remaining agents are skipped. A NaN
+    ``timeout`` is no limit that can be met: the first agent times out."""
     deadline = _time.monotonic() + timeout if timeout is not None else None
     n = instance.n_agents
     table = ConstraintTable()
@@ -214,8 +215,8 @@ def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> I
     rows: List[Tuple[str, List[str]]] = []  # (line, its four coordinates)
     if head[0] == "agents":
         try:
-            count = int(head[1])
-        except (IndexError, ValueError):
+            (count,) = map(int, head[1:])  # exactly one token after "agents"
+        except ValueError:
             raise InstanceError("expected 'agents N' header") from None
         if count < 0:
             raise InstanceError(f"header declares {count} agents")

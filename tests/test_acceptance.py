@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from anysipp.constraints import ConstraintTable
-from anysipp.cli import BenchConfig, run_benchmark
+from anysipp.cli import run_benchmark
 from anysipp.geometry import swept_cells
 from anysipp.grid import GridMap, parse_map
 from anysipp.planner import GoalUnreachable, PlannerMode, plan
@@ -136,10 +136,9 @@ def test_criterion_4_benchmark_cost_band():
         (f"b64-{k:03d}", k, generate_instance(grid, 50, k, "separated"))
         for k in range(100)
     ]
-    config = BenchConfig(
+    records, summary, _, _ = run_benchmark(
         instances=instances, modes=["aa", "cardinal"], timeout=300.0
     )
-    records, summary, _, _ = run_benchmark(config)
     all_valid = all(r.valid for r in records if r.success)
     common = summary["common"]["count"]
     reduction = summary.get("aa_cost_reduction_vs_cardinal")
@@ -176,10 +175,9 @@ def test_criterion_5_benchmark_maps(name, band):
         (f"{name}-{k:03d}", k, generate_instance(grid, 25, k, "walk", walk_steps=walk_steps))
         for k in range(n_instances)
     ]
-    config = BenchConfig(
+    records, summary, _, _ = run_benchmark(
         instances=instances, modes=["aa", "cardinal"], timeout=300.0
     )
-    records, summary, _, _ = run_benchmark(config)
     reduction = summary.get("aa_cost_reduction_vs_cardinal")
     ok = reduction is not None and band[0] <= reduction <= band[1]
     report(5, f"{name} cost reduction", ok, f"reduction={reduction}")

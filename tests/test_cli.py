@@ -6,7 +6,6 @@ import pytest
 from anysipp import cli
 from anysipp.cli import (
     CSV_HEADER,
-    BenchConfig,
     RunRecord,
     emit_results,
     format_csv,
@@ -33,11 +32,11 @@ def small_config(modes=("aa", "cardinal"), n_instances=2, **kw):
         (f"t-{k:03d}", 50 + k, generate_instance(grid, 3, 50 + k, "separated"))
         for k in range(n_instances)
     ]
-    return BenchConfig(instances=instances, modes=list(modes), **kw)
+    return dict(instances=instances, modes=list(modes), **kw)
 
 
 def test_run_benchmark_records_and_summary():
-    records, summary, dumps, traces = run_benchmark(small_config(timeout=30.0))
+    records, summary, dumps, traces = run_benchmark(**small_config(timeout=30.0))
     assert len(records) == 4
     assert all(r.success for r in records)
     assert all(r.valid for r in records)
@@ -49,7 +48,7 @@ def test_run_benchmark_records_and_summary():
 
 
 def test_timeout_fails_every_run():
-    records, summary, _, _ = run_benchmark(small_config(timeout=1e-9))
+    records, summary, _, _ = run_benchmark(**small_config(timeout=1e-9))
     assert all(not r.success for r in records)
     assert all(r.cost is None for r in records)
     assert summary["per_mode"]["aa"]["success_rate"] == 0.0
@@ -57,7 +56,7 @@ def test_timeout_fails_every_run():
 
 
 def test_csv_round_trip_and_failure_rows():
-    records, _, _, _ = run_benchmark(small_config(timeout=30.0))
+    records, _, _, _ = run_benchmark(**small_config(timeout=30.0))
     records.append(RunRecord("t-xxx", "aa", 3, False, 0.5, None, False, 99))
     text = format_csv(records)
     lines = text.splitlines()
@@ -70,17 +69,20 @@ def test_csv_round_trip_and_failure_rows():
 def test_csv_deterministic_except_time(tmp_path):
     cfg1 = small_config(timeout=30.0)
     cfg2 = small_config(timeout=30.0)
-    rec1, _, _, _ = run_benchmark(cfg1)
-    rec2, _, _, _ = run_benchmark(cfg2)
+    rec1, _, _, _ = run_benchmark(**cfg1)
+    rec2, _, _, _ = run_benchmark(**cfg2)
     strip = lambda text: re.sub(r"^([^,]*,[^,]*,[^,]*,[^,]*,)[^,]*", r"\1", text, flags=re.M)
     assert strip(format_csv(rec1)) == strip(format_csv(rec2))
 
 
 def test_worker_pool_preserves_record_order():
-    records_seq, _, _, _ = run_benchmark(small_config(n_instances=3, timeout=30.0))
-    records_par, _, _, _ = run_benchmark(small_config(n_instances=3, timeout=30.0, workers=2))
+    flags = dict(n_instances=3, timeout=30.0, dump=True, traces=True)
+    records_seq, _, dumps_seq, traces_seq = run_benchmark(**small_config(**flags))
+    records_par, _, dumps_par, traces_par = run_benchmark(**small_config(**flags, workers=2))
     key = [(r.instance, r.mode, r.success, r.cost) for r in records_seq]
     assert key == [(r.instance, r.mode, r.success, r.cost) for r in records_par]
+    assert dumps_seq and dumps_par == dumps_seq
+    assert traces_seq and traces_par == traces_seq
 
 
 def test_worker_pool_starts_at_most_one_process_per_instance(monkeypatch):
@@ -101,7 +103,7 @@ def test_worker_pool_starts_at_most_one_process_per_instance(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "Pool", FakePool)
-    records, _, _, _ = run_benchmark(small_config(timeout=30.0, workers=64))
+    records, _, _, _ = run_benchmark(**small_config(timeout=30.0, workers=64))
     assert sizes == [2]
     assert len(records) == 4 and all(r.success for r in records)
 
@@ -109,7 +111,7 @@ def test_worker_pool_starts_at_most_one_process_per_instance(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unexpected_error_fails_only_its_runs(monkeypatch, tmp_path, workers):
     config = small_config(n_instances=3, timeout=30.0, workers=workers)
-    bad_agents = config.instances[1][2].agents
+    bad_agents = config["instances"][1][2].agents
     real_plan_all = cli.plan_all
 
     def flaky_plan_all(instance, mode, **kw):
@@ -118,7 +120,7 @@ def test_unexpected_error_fails_only_its_runs(monkeypatch, tmp_path, workers):
         return real_plan_all(instance, mode, **kw)
 
     monkeypatch.setattr(cli, "plan_all", flaky_plan_all)
-    records, summary, _, _ = run_benchmark(config)
+    records, summary, _, _ = run_benchmark(**config)
     assert [(r.instance, r.mode) for r in records] == [
         (f"t-{k:03d}", m) for k in (0, 1, 2) for m in ("aa", "cardinal")
     ]
@@ -238,7 +240,7 @@ def test_validation_cannot_be_switched(tmp_path, flag):
 
 
 def test_json_record_keys_follow_csv_columns(tmp_path):
-    records, summary, _, _ = run_benchmark(small_config(timeout=30.0))
+    records, summary, _, _ = run_benchmark(**small_config(timeout=30.0))
     records.append(RunRecord("t-xxx", "aa", 3, False, 0.5, None, None, 99, "ValueError: x"))
     emit_results(records, summary, str(tmp_path / "run"))
     payload = json.loads((tmp_path / "run.json").read_text())
@@ -252,9 +254,8 @@ def test_json_records_name_the_failed_agent(tmp_path):
     grid = GridMap.from_blocked(5, 5, [(3, 4), (4, 3)])
     walled = Instance(grid, [((0, 0), (2, 2)), ((0, 4), (4, 4)), ((4, 0), (0, 2))])
     solvable = Instance(grid, [((0, 0), (2, 2))])
-    config = BenchConfig(instances=[("walled", 0, walled), ("free", 1, solvable)],
-                         modes=["aa", "cardinal"], timeout=30.0)
-    records, summary, _, _ = run_benchmark(config)
+    records, summary, _, _ = run_benchmark(
+        [("walled", 0, walled), ("free", 1, solvable)], ["aa", "cardinal"], timeout=30.0)
     emit_results(records, summary, str(tmp_path / "run"))
     payload = json.loads((tmp_path / "run.json").read_text())
     assert [(r["instance"], r["success"], r["status"], r["failed_agent"])

@@ -6,7 +6,7 @@ import pytest
 
 from anysipp import prioritized
 from anysipp.grid import GridMap
-from anysipp.planner import GoalUnreachable, PlannerMode, PlanTimeout, StartUnsafe
+from anysipp.planner import GoalUnreachable, PlannerMode, PlanTimeout, StartUnsafe, plan
 from anysipp.prioritized import (
     GenerationError,
     Instance,
@@ -72,6 +72,17 @@ def test_timeout_marks_instance_failed():
     assert sol.statuses[0] == "timeout"
     assert all(s in ("timeout", "skipped") for s in sol.statuses)
     assert sol.total_cost is None
+
+
+def test_nan_time_limit_times_out():
+    # No clock reading passes a NaN deadline, so only a check that asks
+    # whether the clock is still within it refuses one.
+    grid = GridMap.empty(8, 8)
+    sol = plan_all(Instance(grid, [((0, 0), (7, 7)), ((7, 0), (0, 7))]), AA,
+                   timeout=math.nan)
+    assert sol.statuses == ["timeout", "skipped"] and not sol.success
+    with pytest.raises(PlanTimeout):
+        plan(grid, [], (0, 0), (7, 7), AA, deadline=math.nan)
 
 
 def test_goal_adjacent_to_parked_agent_is_legal():
@@ -295,6 +306,8 @@ def test_load_agents_rejects_garbage():
         load_agents("", grid)
     with pytest.raises(InstanceError):
         load_agents("agents -1\n", grid)
+    with pytest.raises(InstanceError, match="expected 'agents N' header"):
+        load_agents("agents 1 extra\n0 0 1 1\n", grid)
     with pytest.raises(InstanceError):
         load_agents("agents 1\n0 0 3 3\n", grid, max_agents=-1)
 
