@@ -192,9 +192,10 @@ class Search:
         self.reached: Optional[SearchState] = None
         # The lazy backward search of _distance, on a blocked grid only: the
         # closed cells' distances, the best distances pushed so far, and the
-        # open list of (key, -distance, cell), seeded with the goal. The best
-        # distances keep out a longer entry whose key rounds to a shorter
-        # one's: it would pop first and close its cell an ulp long.
+        # open list of (key, -distance, cell), seeded with the goal. Of two
+        # entries for one cell whose keys round equal the longer pops first;
+        # the best distances keep it out only when the shorter was pushed
+        # first, so a closed cell can hold its distance an ulp long.
         self._dist = {} if grid.any_blocked else None
         self._dbest = {self.goal: 0.0}
         self._dopen: list = [(0.0, 0.0, self.goal)]
@@ -220,8 +221,9 @@ class Search:
         toward the start, closes cells only until cfg is closed and resumes
         on the next miss (Reverse Resumable A*; Silver, "Cooperative
         Pathfinding", 2005). Its key, the octile or Manhattan distance, is
-        consistent, so every closed cell holds its exact distance whichever
-        cell is asked about."""
+        consistent, so every closed cell holds its shortest distance
+        whichever cell is asked about, up to rounding: when keys round
+        equal a longer entry can close its cell an ulp long."""
         dist, open_, best = self._dist, self._dopen, self._dbest
         if cfg in dist:
             return dist[cfg]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import time as _time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .constraints import ConstraintTable
@@ -97,14 +97,10 @@ def plan_all(
     return Solution(trajectories, statuses, sum(t.cost() for t in trajectories), traces)
 
 
-@dataclass
-class WfiReport:
-    is_wfi: bool
-    failures: List[Tuple[Cell, Cell]] = field(default_factory=list)
-
-
-def check_wfi(instance: Instance) -> WfiReport:
-    """Sufficient well-formed-infrastructure test over cardinal moves.
+def check_wfi(instance: Instance) -> List[Tuple[Cell, Cell]]:
+    """Sufficient well-formed-infrastructure test over cardinal moves: the
+    endpoint pairs (e1, e2) with no witness path, in endpoint order; an
+    empty list means the instance is well formed.
 
     For unit cardinal moves between cell centers, a move stays at least one
     diameter from another endpoint center exactly when neither move endpoint
@@ -112,17 +108,11 @@ def check_wfi(instance: Instance) -> WfiReport:
     all other endpoints removed; the terminal hop into the target endpoint is
     allowed from any adjacent reached cell.
     """
-    endpoints = []
-    seen = set()
-    for s, g in instance.agents:
-        for e in (s, g):
-            if e not in seen:
-                seen.add(e)
-                endpoints.append(e)
+    endpoints = dict.fromkeys(e for agent in instance.agents for e in agent)
     nbrs = instance.grid.successors(CARDINAL_STEPS)
     failures = []
     for e1 in endpoints:
-        blocked_extra = seen - {e1}
+        blocked_extra = endpoints.keys() - {e1}
         reached = {e1}
         queue = deque([e1])
         while queue:
@@ -136,7 +126,7 @@ def check_wfi(instance: Instance) -> WfiReport:
                 continue
             if not any(nxt in reached for nxt in nbrs[e2]):
                 failures.append((e1, e2))
-    return WfiReport(not failures, failures)
+    return failures
 
 
 def generate_instance(
@@ -161,17 +151,16 @@ def generate_instance(
         if 2 * n > len(free):
             raise GenerationError(f"{2 * n} endpoints requested, {len(free)} free cells")
         chosen: List[Cell] = []
-        attempts = 0
+        draws = 0
         limit = 1000 * (2 * n) + 1000
-        while len(chosen) < 2 * n:
-            attempts += 1
-            if attempts > limit:
-                raise GenerationError(
-                    f"could not place {2 * n} separated endpoints after {attempts} draws"
-                )
+        while len(chosen) < 2 * n and draws < limit:
+            draws += 1
             cand = free[rng.randrange(len(free))]
             if all((cand[0] - c) ** 2 + (cand[1] - r) ** 2 >= 4 for c, r in chosen):
                 chosen.append(cand)
+        if len(chosen) < 2 * n:
+            raise GenerationError(f"could not place {2 * n} separated endpoints "
+                                  f"after {draws} draws")
         agents = list(zip(chosen[:n], chosen[n:]))
         return Instance(grid, agents)
     if protocol == "walk":
@@ -202,17 +191,16 @@ def generate_instance(
 
 
 def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> Instance:
-    """Parse either the ``agents N`` instance format, which must hold
-    exactly N agent rows, or a benchmark scenario file (header ``version
-    ...``), whose rows must name the grid's width and height; agents keep
-    file order (FIFO priority)."""
+    """Parse either the ``agents N`` instance format, N rows of ``sc sr gc
+    gr``, or a benchmark scenario file (header exactly ``version 1``), whose
+    rows have 9 fields, the grid's width and height in columns 2-3 and the
+    coordinates in columns 4-7; agents keep file order (FIFO priority)."""
     if max_agents is not None and max_agents < 0:
         raise InstanceError(f"{max_agents} agents requested")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InstanceError("empty instance file")
     head = lines[0].split()
-    rows: List[Tuple[str, List[str]]] = []  # (line, its four coordinates)
     if head[0] == "agents":
         try:
             (count,) = map(int, head[1:])  # exactly one token after "agents"
@@ -222,26 +210,21 @@ def load_agents(text: str, grid: GridMap, max_agents: Optional[int] = None) -> I
             raise InstanceError(f"header declares {count} agents")
         if len(lines) - 1 != count:
             raise InstanceError(f"header declares {count} agents, found {len(lines) - 1}")
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 4:
-                raise InstanceError(f"expected 'sc sr gc gr', got {ln!r}")
-            rows.append((ln, parts))
-    elif head[0] == "version":
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) < 9:
-                raise InstanceError(f"malformed scenario row: {ln!r}")
-            if parts[2:4] != [str(grid.width), str(grid.height)]:
-                raise InstanceError(f"row {ln!r} is for a {parts[2]}x{parts[3]} map, "
-                                    f"not the {grid.width}x{grid.height} grid")
-            rows.append((ln, parts[4:8]))
+        fields, coords = 4, slice(0, 4)
+    elif head == ["version", "1"]:
+        fields, coords = 9, slice(4, 8)
     else:
         raise InstanceError(f"unrecognized instance header: {lines[0]!r}")
     agents: List[Tuple[Cell, Cell]] = []
-    for ln, fields in rows:
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != fields:
+            raise InstanceError(f"expected {fields} fields, got {ln!r}")
+        if fields == 9 and parts[2:4] != [str(grid.width), str(grid.height)]:
+            raise InstanceError(f"row {ln!r} is for a {parts[2]}x{parts[3]} map, "
+                                f"not the {grid.width}x{grid.height} grid")
         try:
-            sc, sr, gc, gr = map(int, fields)
+            sc, sr, gc, gr = map(int, parts[coords])
         except ValueError:
             raise InstanceError(f"non-integer coordinate in row {ln!r}") from None
         agents.append(((sc, sr), (gc, gr)))
