@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
-from .geometry import Cell, swept_cells
+from .geometry import Cell, sweep_octant, swept_cells
 from .trajectory import Trajectory
 
 TOL = 1e-9
@@ -136,12 +136,23 @@ def _complement(windows: List[Tuple[float, float]]) -> Tuple[TimeInterval, ...]:
     return tuple(out)
 
 
-def _relevant_from_cells(cells, table: ConstraintTable) -> list:
-    """The distinct pieces indexed under the given cells: for a move's swept
-    cells, every piece that can come within one diameter of the move."""
+def _relevant_from_cells(a, b, table: ConstraintTable) -> list:
+    """The distinct pieces indexed under the swept cells of the move a -> b
+    between cell centers, in the order of the cells: every piece that can
+    come within one diameter of the move. A one-cell step sweeps at most its
+    two ends and the two cells at its corners; a longer move's swept cells
+    are looked up in place, in :func:`swept_cells`' order."""
     passes = table._passes
     found = {}
-    for cell in cells:
+    if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1:
+        for cell in (a, b, (b[0], a[1]), (a[0], b[1])):  # straight: a, b twice
+            for piece in passes.get(cell, ()):
+                found[id(piece)] = piece
+        return list(found.values())
+    offsets, sx, sy, swap = sweep_octant(a, b)
+    x, y = a
+    for u, v in offsets:
+        cell = (x + sx * v, y + sy * u) if swap else (x + sx * u, y + sy * v)
         for piece in passes.get(cell, ()):
             found[id(piece)] = piece
     return list(found.values())

@@ -34,14 +34,27 @@ def swept_cells(a, b) -> Tuple[Cell, ...]:
     touches (distance within GEOM_TOL of the radius) are excluded. The set
     is the same for a -> b and b -> a; the order of the cells is unspecified.
     """
-    (ax, ay), (bx, by) = _as_cell(a), _as_cell(b)
-    dx, dy = bx - ax, by - ay
-    # Reflect the first-octant offsets into the move's octant.
+    a, b = _as_cell(a), _as_cell(b)
+    offsets, sx, sy, swap = sweep_octant(a, b)
+    ax, ay = a
+    if swap:
+        return tuple([(ax + sx * v, ay + sy * u) for u, v in offsets])
+    return tuple([(ax + sx * u, ay + sy * v) for u, v in offsets])
+
+
+def sweep_octant(a, b):
+    """The move between the centers of cells a and b, reflected into the
+    first octant: (offsets, sx, sy, swap). Its swept cells are a + (sx * u,
+    sy * v) for the first-octant offsets (u, v), or a + (sx * v, sy * u) when
+    swap is true, in the offsets' order (:func:`swept_cells`' order). Every
+    one lies in the bounding box of a and b: a cell outside it is at least
+    the radius from the segment."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
     sx, sy = (1 if dx >= 0 else -1), (1 if dy >= 0 else -1)
     dx, dy = abs(dx), abs(dy)
     if dy > dx:
-        return tuple([(ax + sx * v, ay + sy * u) for u, v in _swept_cached(dy, dx)])
-    return tuple([(ax + sx * u, ay + sy * v) for u, v in _swept_cached(dx, dy)])
+        return _swept_cached(dy, dx), sx, sy, True
+    return _swept_cached(dx, dy), sx, sy, False
 
 
 # The swept set is translation invariant and commutes with the grid's eight

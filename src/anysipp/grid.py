@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .geometry import Cell, swept_cells
+from .geometry import Cell, sweep_octant, swept_cells
 
 FREE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTSW")
@@ -70,6 +70,25 @@ class GridMap:
         for c, r in cells:
             if not (0 <= c < w and 0 <= r < h) or rows[r][c]:
                 return False
+        return True
+
+    def line_of_sight(self, a, b) -> bool:
+        """Whether the straight move between the centers of in-bounds cells
+        a and b touches no blocked cell: ``cells_traversable(swept_cells(a,
+        b))``, with the swept cells scanned in place up to the first blocked
+        one. They lie in the bounding box of a and b (:func:`sweep_octant`),
+        so they need no bounds test."""
+        offsets, sx, sy, swap = sweep_octant(a, b)
+        rows = self._rows
+        x, y = a
+        if swap:
+            for u, v in offsets:
+                if rows[y + sy * u][x + sx * v]:
+                    return False
+        else:
+            for u, v in offsets:
+                if rows[y + sy * v][x + sx * u]:
+                    return False
         return True
 
     def successors(self, steps: Sequence[Cell]) -> "_Successors":

@@ -69,7 +69,9 @@ from .constraints import (
     earliest_arrival,
     _relevant_from_cells,
 )
-from .geometry import Cell, swept_cells
+# swept_cells is not called here any more; the benchmark's tracer tests still
+# look it up on this module.
+from .geometry import Cell, swept_cells  # noqa: F401
 from .grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap
 from .trajectory import Trajectory, Waypoint
 
@@ -192,10 +194,10 @@ class Search:
         self.reached: Optional[SearchState] = None
         # The lazy backward search of _distance, on a blocked grid only: the
         # closed cells' distances, the best distances pushed so far, and the
-        # open list of (key, -distance, cell), seeded with the goal. Of two
-        # entries for one cell whose keys round equal the longer pops first;
-        # the best distances keep it out only when the shorter was pushed
-        # first, so a closed cell can hold its distance an ulp long.
+        # open list of (key, -distance, cell), seeded with the goal. An entry
+        # longer than its cell's best distance is stale and skipped when
+        # popped, also where its key rounds equal to the shorter entry's and
+        # it pops first.
         self._dist = {} if grid.any_blocked else None
         self._dbest = {self.goal: 0.0}
         self._dopen: list = [(0.0, 0.0, self.goal)]
@@ -222,8 +224,10 @@ class Search:
         on the next miss (Reverse Resumable A*; Silver, "Cooperative
         Pathfinding", 2005). Its key, the octile or Manhattan distance, is
         consistent, so every closed cell holds its shortest distance
-        whichever cell is asked about, up to rounding: when keys round
-        equal a longer entry can close its cell an ulp long."""
+        whichever cell is asked about. A popped entry longer than the best
+        distance pushed for its cell is stale and closes nothing, so a
+        longer entry whose key rounds equal to a shorter one's cannot close
+        the cell an ulp long."""
         dist, open_, best = self._dist, self._dopen, self._dbest
         if cfg in dist:
             return dist[cfg]
@@ -234,7 +238,7 @@ class Search:
         nxt, deadline = self._next, self.deadline
         while open_:
             _, ng, c = heappop(open_)
-            if c in dist:
+            if c in dist or -ng > best[c]:
                 continue
             g = dist[c] = -ng
             if deadline is not None and not len(dist) & 127 and _time.monotonic() > deadline:
@@ -256,22 +260,20 @@ class Search:
         """The collision windows of the move a -> b, or None when a blocked
         cell cuts its line of sight; built once per move and search. A
         neighbour step sweeps its ends and corners, which the map's successor
-        table has checked. A longer move enumerates its swept cells, on a
-        blocked grid for line of sight too. A move whose swept cells hold no
-        obstacle piece has no windows, and none are built."""
+        table has checked. A longer move's line of sight on a blocked grid is
+        scanned in place up to its first blocked cell
+        (:meth:`GridMap.line_of_sight`). The windows come from the pieces
+        indexed under the move's swept cells (:func:`_relevant_from_cells`);
+        a move near no piece has none, and none are built."""
         key = (a, b)
         if key in self._cols:
             return self._cols[key]
-        table = self.table
         cols = ()
-        if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1:
-            cells = (a, b, (b[0], a[1]), (a[0], b[1]))  # straight: a, b twice
-        else:
-            cells = swept_cells(a, b)
-            if self.grid.any_blocked and not self.grid.cells_traversable(cells):
-                cols = None
-        if cols is not None and table._passes:
-            pieces = _relevant_from_cells(cells, table)
+        if (self.grid.any_blocked and (abs(b[0] - a[0]) > 1 or abs(b[1] - a[1]) > 1)
+                and not self.grid.line_of_sight(a, b)):
+            cols = None
+        elif self.table._passes:
+            pieces = _relevant_from_cells(a, b, self.table)
             cols = tuple(collision_intervals_for_move(a, b, pieces)) if pieces else ()
         self._cols[key] = cols
         return cols

@@ -357,7 +357,6 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
         earliest_arrival,
         TimeInterval,
     )
-    from anysipp.geometry import swept_cells
 
     assert abs(round(1.0 / dt) - 1.0 / dt) < 1e-12
     move_ticks = int(round(1.0 / dt))
@@ -382,7 +381,7 @@ def time_expanded_best_cost(grid, obstacles, start, goal, dt=0.25, horizon=40.0)
     def cols_for(a, b):
         key = (a, b)
         if key not in cols_cache:
-            pieces = _relevant_from_cells(swept_cells(a, b), table)
+            pieces = _relevant_from_cells(a, b, table)
             cols_cache[key] = collision_intervals_for_move(a, b, pieces)
         return cols_cache[key]
 

@@ -28,7 +28,7 @@ INF = math.inf
 def move_pieces(a, b, table):
     """The pieces the search checks for the move a -> b: those indexed under
     its swept cells."""
-    return _relevant_from_cells(swept_cells(a, b), table)
+    return _relevant_from_cells(a, b, table)
 
 
 def move_windows(a, b, obstacles):
@@ -45,11 +45,35 @@ def assert_windows(ivs, expected):
 
 def test_table_indexes_straight_pass():
     obstacle = make_traj([(0, 2), (4, 2)])
-    (piece,) = _relevant_from_cells([(2, 2)], ConstraintTable([obstacle]))
+    (piece,) = _relevant_from_cells((2, 2), (2, 2), ConstraintTable([obstacle]))
     t0, t1, x0, y0, vx, vy, _, _ = piece
     assert (t0, t1) == (0.0, 4.0)
     # the pass reaches the cell center at time 2
     assert (x0 + 2.0 * vx, y0 + 2.0 * vy) == pytest.approx((2.0, 2.0))
+
+
+def test_relevant_pieces_follow_the_swept_cells():
+    # The search gathers a move's pieces without materialising its swept
+    # cells: a longer move scans their first-octant offsets in place, a
+    # one-cell step looks up its ends and corners. Both must find the pieces
+    # a gather over swept_cells finds; a longer move in the same order.
+    rng = random.Random(30)
+    for _ in range(12):
+        table = ConstraintTable([random_trajectory(rng, size=12) for _ in range(4)])
+        moves = [((x, y), (x + dx, y + dy)) for x in range(12) for y in range(12)
+                 for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        moves += [((rng.randrange(12), rng.randrange(12)), (rng.randrange(12), rng.randrange(12)))
+                  for _ in range(300)]
+        for a, b in moves:
+            want = {}
+            for cell in swept_cells(a, b):
+                for piece in table._passes.get(cell, ()):
+                    want[id(piece)] = piece
+            got = [id(piece) for piece in _relevant_from_cells(a, b, table)]
+            if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1:
+                assert sorted(got) == sorted(want), (a, b)
+            else:
+                assert got == list(want), (a, b)
 
 
 def test_wait_window_covers_the_whole_wait():

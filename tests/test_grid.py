@@ -7,7 +7,7 @@ import pytest
 from anysipp.grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap, MapFormatError, parse_map
 from anysipp.geometry import swept_cells
 
-from oracles import sampled_swept_cells
+from oracles import blocked_grid, sampled_swept_cells
 
 
 def make_map(body, width=None, height=None):
@@ -176,15 +176,26 @@ def test_adjacent_moves_always_feasible_on_free_grid():
 
 
 def test_swept_cells_stay_in_bounds_hull():
-    rng = random.Random(3)
-    for _ in range(200):
-        a = (rng.randrange(10), rng.randrange(10))
-        b = (rng.randrange(10), rng.randrange(10))
-        lo_c, hi_c = min(a[0], b[0]), max(a[0], b[0])
-        lo_r, hi_r = min(a[1], b[1]), max(a[1], b[1])
-        for c, r in swept_cells(a, b):
-            assert lo_c <= c <= hi_c
-            assert lo_r <= r <= hi_r
+    # Every ordered pair of centers of a 14x14 grid: GridMap.line_of_sight
+    # indexes the swept cells of a move between in-bounds cells unguarded.
+    cells = [(c, r) for c in range(14) for r in range(14)]
+    for a in cells:
+        for b in cells:
+            lo_c, hi_c = min(a[0], b[0]), max(a[0], b[0])
+            lo_r, hi_r = min(a[1], b[1]), max(a[1], b[1])
+            for c, r in swept_cells(a, b):
+                assert lo_c <= c <= hi_c and lo_r <= r <= hi_r, (a, b)
+
+
+@pytest.mark.parametrize("size, seed", [(12, 0), (14, 1), (16, 2)])
+def test_line_of_sight_matches_the_swept_cells(size, seed):
+    # The planner scans a move's swept cells in place; successor tables and
+    # the validator go through the materialised swept cells.
+    g = blocked_grid(size, 0.2, seed)
+    free = g.free_cells()
+    for a in free:
+        for b in free:
+            assert g.line_of_sight(a, b) == g.cells_traversable(swept_cells(a, b)), (a, b)
 
 
 MAPS_DIR = Path(os.environ.get("MOVINGAI_MAPS", "maps"))

@@ -8,7 +8,6 @@ import pytest
 
 from anysipp import planner
 from anysipp.constraints import TOL, ConstraintTable
-from anysipp.geometry import swept_cells
 from anysipp.grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap
 from anysipp.planner import (
     GoalUnreachable,
@@ -269,16 +268,23 @@ def test_blocked_grid_checks_each_move_once(monkeypatch):
     *others, (start, goal) = generate_instance(grid, 6, 3, "separated").agents
     obstacles = plan_all(Instance(grid, others), AA).trajectories
     assert all(obstacles)
-    moves = []
+    sights, gathers = [], []
+    line_of_sight, gather = GridMap.line_of_sight, planner._relevant_from_cells
 
-    def recording_swept_cells(a, b):
-        moves.append((a, b))
-        return swept_cells(a, b)
+    def recording_line_of_sight(self, a, b):
+        sights.append((a, b))
+        return line_of_sight(self, a, b)
 
-    monkeypatch.setattr(planner, "swept_cells", recording_swept_cells)
+    def recording_gather(a, b, table):
+        gathers.append((a, b))
+        return gather(a, b, table)
+
+    monkeypatch.setattr(GridMap, "line_of_sight", recording_line_of_sight)
+    monkeypatch.setattr(planner, "_relevant_from_cells", recording_gather)
     traj = plan(grid, obstacles, start, goal, AA)
     assert_clear_of(traj, obstacles)
-    assert moves and len(set(moves)) == len(moves)
+    for moves in (sights, gathers):
+        assert moves and len(set(moves)) == len(moves)
 
 
 def test_heuristic_values():
@@ -330,6 +336,22 @@ def test_lazy_map_distances_match_dijkstra():
                 expect = want.get(cell, INF)
                 assert got == expect or abs(got - expect) <= 1e-9, (cell, target, mode)
             assert (len(want) < len(grid.free_cells())) == (grid is POCKET)
+
+
+def test_map_distance_closes_no_cell_an_ulp_long():
+    # _dist's insertion order is the close order, so each cell must close at
+    # most one step past every neighbour closed before it. Here an open entry
+    # one ulp longer than its cell's best, whose key rounds equal to the
+    # shorter entry's, pops first; it is stale and must not close the cell.
+    search = Search(blocked_grid(16, 0.2, 0), ConstraintTable(), (0, 3), (12, 4), AA)
+    search.run()
+    closed = {}
+    for cell, d in search._dist.items():
+        for n in search._next[cell]:
+            if n in closed:
+                step = 1.0 if n[0] == cell[0] or n[1] == cell[1] else math.sqrt(2.0)
+                assert d <= closed[n] + step, (cell, n)
+        closed[cell] = d
 
 
 @pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
