@@ -9,9 +9,13 @@ from .geometry import Cell, sweep_octant, swept_cells
 FREE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTSW")
 
-# Step sets for GridMap.successors: 4-connected, then 8-connected.
+# Step sets for GridMap.successors: 4-connected, 8-connected, and the
+# 16-neighbourhood, which adds the eight (+-1, +-2) and (+-2, +-1) steps.
 CARDINAL_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 OCTILE_STEPS = CARDINAL_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))
+SIXTEEN_STEPS = OCTILE_STEPS + (
+    (2, 1), (2, -1), (-2, 1), (-2, -1), (1, 2), (1, -2), (-1, 2), (-1, -2)
+)
 
 
 class MapFormatError(ValueError):
@@ -29,7 +33,7 @@ class MapFormatError(ValueError):
 class GridMap:
     """Immutable occupancy grid. Out-of-bounds cells count as blocked."""
 
-    __slots__ = ("width", "height", "_rows", "_free", "any_blocked", "_successors")
+    __slots__ = ("width", "height", "_rows", "_free", "any_blocked", "_successors", "_cells")
 
     def __init__(self, width: int, height: int, rows: List[bytes]):
         if width < 1 or height < 1:
@@ -44,6 +48,7 @@ class GridMap:
         )
         self.any_blocked = len(self._free) < width * height
         self._successors = {}
+        self._cells = None
 
     @classmethod
     def empty(cls, width: int, height: int) -> "GridMap":
@@ -78,28 +83,22 @@ class GridMap:
         b))``, with the swept cells scanned in place up to the first blocked
         one. They lie in the bounding box of a and b (:func:`sweep_octant`),
         so they need no bounds test."""
-        offsets, sx, sy, swap = sweep_octant(a, b)
-        rows = self._rows
-        x, y = a
-        if swap:
-            for u, v in offsets:
-                if rows[y + sy * u][x + sx * v]:
-                    return False
-        else:
-            for u, v in offsets:
-                if rows[y + sy * v][x + sx * u]:
-                    return False
-        return True
+        return _sight_clear(self._rows, a, b)
 
     def successors(self, steps: Sequence[Cell]) -> "_Successors":
         """The map's successor table for a step set: indexed by a cell, it
         gives the cells one step away that a disk can slide to, in step
-        order: a step is kept when :meth:`move_is_feasible` admits it. Each
-        cell's entry is filled on first use and kept for the map's life, one
-        table per step set."""
+        order: a step is kept when :meth:`move_is_feasible` would admit it,
+        that is when both cells are free and the line of sight between them
+        is clear. Each cell's entry is filled on first use and kept for
+        the map's life, one table per step set. The tables key and list the
+        map's own cell tuples, those of :meth:`free_cells`, so that a dict
+        lookup with a cell they give matches by identity."""
         steps = tuple(steps)
         table = self._successors.get(steps)
         if table is None:
+            if self._cells is None:
+                self._cells = {c: c for c in self._free}
             table = self._successors[steps] = _Successors(self, steps)
         return table
 
@@ -121,6 +120,23 @@ class GridMap:
         return f"GridMap({self.width}x{self.height}, blocked={self.any_blocked})"
 
 
+def _sight_clear(rows, a, b) -> bool:
+    """:meth:`GridMap.line_of_sight` over the occupancy rows; the successor
+    tables call it directly, so that the search's own line-of-sight checks
+    are the method's only callers."""
+    offsets, sx, sy, swap = sweep_octant(a, b)
+    x, y = a
+    if swap:
+        for u, v in offsets:
+            if rows[y + sy * u][x + sx * v]:
+                return False
+    else:
+        for u, v in offsets:
+            if rows[y + sy * v][x + sx * u]:
+                return False
+    return True
+
+
 class _Successors(dict):
     """Cell -> tuple of neighbour cells; see :meth:`GridMap.successors`."""
 
@@ -132,12 +148,18 @@ class _Successors(dict):
         self.steps = steps
 
     def __missing__(self, cell) -> Tuple[Cell, ...]:
-        feasible = self.grid.move_is_feasible
-        c, r = cell
-        out = tuple(
-            (c + dx, r + dy) for dx, dy in self.steps if feasible(cell, (c + dx, r + dy))
-        )
-        self[cell] = out
+        grid = self.grid
+        cells = grid._cells
+        a = cells.get(cell)
+        if a is None:
+            # Blocked or out of bounds: every move from it sweeps it.
+            self[cell] = ()
+            return ()
+        c, r = a
+        out = [b for b in [cells.get((c + dx, r + dy)) for dx, dy in self.steps] if b is not None]
+        if grid.any_blocked:
+            out = [b for b in out if _sight_clear(grid._rows, a, b)]
+        out = self[a] = tuple(out)
         return out
 
 

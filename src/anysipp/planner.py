@@ -46,11 +46,14 @@ and ends the search if its true arrival is at most B.
 
 The heuristic is the Euclidean distance to the goal in any-angle mode and the
 Manhattan distance in cardinal mode. On a grid with a blocked cell it is
-raised to the map distance d, the length of a shortest path to the goal over
-the map's successor table with steps costing 1 and sqrt 2: h = max(Euclid,
-d / K) in any-angle mode, K = sqrt(4 - 2 sqrt 2), and h = d in cardinal mode.
-d is computed lazily per search, and a start with d = inf fails before any
-expansion.
+raised to a map distance d, the length of a shortest path to the goal over
+one of the map's successor tables, each step costing its length. In cardinal
+mode the table is the search's own, 4-connected with unit steps, and h = d.
+In any-angle mode it is the 16-neighbourhood (Rivera, Hernandez & Baier,
+"Grid Pathfinding on the 2^k Neighborhoods", AAAI 2017): the octile steps
+and the (+-1, +-2) and (+-2, +-1) steps, costing 1, sqrt 2 and sqrt 5, and
+h = max(Euclid, d / K16) with K16 = sqrt(10 - 4 sqrt 5). d is computed
+lazily per search, and a start with d = inf fails before any expansion.
 """
 
 from __future__ import annotations
@@ -72,17 +75,22 @@ from .constraints import (
 # swept_cells is not called here any more; the benchmark's tracer tests still
 # look it up on this module.
 from .geometry import Cell, swept_cells  # noqa: F401
-from .grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap
+from .grid import CARDINAL_STEPS, OCTILE_STEPS, SIXTEEN_STEPS, GridMap
 from .trajectory import Trajectory, Waypoint
 
 INF = math.inf
 SQRT2 = math.sqrt(2.0)
-# The largest ratio of octile to Euclidean length, at 22.5 degrees. Every
-# line-of-sight move a -> b has a corner-rule path of octile length inside its
-# own swept cells (tests/test_geometry.py checks it exhaustively up to 127
-# cells and by sample up to 1023), so the map distance between a and b is at
-# most K |ab|, and d / K is a consistent any-angle heuristic.
-K = math.sqrt(4.0 - 2.0 * SQRT2)
+SQRT5 = math.sqrt(5.0)
+# A step's cost indexed by its squared length: 1, sqrt 2 or sqrt 5.
+_STEP_COST = (0.0, 1.0, SQRT2, 0.0, 0.0, SQRT5)
+# The largest ratio of the empty-grid 16-neighbour distance to Euclidean
+# length, 1 / cos(atan(1/2) / 2), reached at slope sqrt 5 - 2 (about 13.3
+# degrees), halfway between the steps (1, 0) and (2, 1) that bracket it. Every
+# line-of-sight move a -> b has a 16-step path of that distance inside its own
+# swept cells (tests/test_geometry.py checks it exhaustively up to 127 cells
+# and by sample up to 1023), so the 16-neighbour map distance between a and b
+# is at most K16 |ab|, and d / K16 is a consistent any-angle heuristic.
+K16 = math.sqrt(10.0 - 4.0 * SQRT5)
 
 
 class PlanningError(Exception):
@@ -112,9 +120,9 @@ class PlannerMode:
     """Cardinal: 4-connected unit moves under a Manhattan heuristic.
     Any-angle: 8-connected moves plus shortcuts through the parent state
     under a Euclidean heuristic. On a grid with a blocked cell, the
-    heuristic is raised to the map distance d to the goal: h = d in cardinal
-    mode and max(Euclid, d / K) in any-angle mode (see the module
-    docstring)."""
+    heuristic is raised to a map distance d to the goal: h = d, over the
+    4-connected steps, in cardinal mode, and h = max(Euclid, d / K16), d over
+    the 16-neighbour steps, in any-angle mode (see the module docstring)."""
 
     any_angle: bool = True
 
@@ -178,12 +186,14 @@ class Search:
     ):
         self.grid = grid
         self.table = table
-        self.start = tuple(start)
-        self.goal = tuple(goal)
         self.mode = mode
         self.deadline = deadline
         self.trace = trace
         self._next = grid.successors(OCTILE_STEPS if mode.any_angle else CARDINAL_STEPS)
+        # The map's own tuples for start and goal, as the successor tables hold.
+        start, goal = tuple(start), tuple(goal)
+        self.start = grid._cells.get(start, start)
+        self.goal = grid._cells.get(goal, goal)
         self.nodes = {}
         self.open: list = []
         self._cells = {}
@@ -201,6 +211,9 @@ class Search:
         self._dist = {} if grid.any_blocked else None
         self._dbest = {self.goal: 0.0}
         self._dopen: list = [(0.0, 0.0, self.goal)]
+        self._dnext = self._next
+        if mode.any_angle and grid.any_blocked:
+            self._dnext = grid.successors(SIXTEEN_STEPS)
 
     # -- geometry/constraint lookups, cached per search --------------------
 
@@ -212,30 +225,36 @@ class Search:
             dy = cfg[1] - self.goal[1]
             h = math.hypot(dx, dy) if self.mode.any_angle else float(abs(dx) + abs(dy))
             if self._dist is not None:
-                h = max(h, self._distance(cfg) * (1.0 / K if self.mode.any_angle else 1.0))
+                h = max(h, self._distance(cfg) * (1.0 / K16 if self.mode.any_angle else 1.0))
             rec = self._cells[cfg] = (self.table.safe_intervals_at(cfg), h)
         return rec
 
     def _distance(self, cfg) -> float:
         """cfg's map distance to the goal: the length of a shortest path over
-        the successor table (whose moves are symmetric), steps costing 1 and
-        sqrt 2; inf when there is none. A backward A* from the goal, keyed
-        toward the start, closes cells only until cfg is closed and resumes
-        on the next miss (Reverse Resumable A*; Silver, "Cooperative
-        Pathfinding", 2005). Its key, the octile or Manhattan distance, is
-        consistent, so every closed cell holds its shortest distance
-        whichever cell is asked about. A popped entry longer than the best
-        distance pushed for its cell is stale and closes nothing, so a
-        longer entry whose key rounds equal to a shorter one's cannot close
-        the cell an ulp long."""
+        the map's 16-neighbour successor table in any-angle mode, or over the
+        search's 4-connected one in cardinal mode (both tables' moves are
+        symmetric), each step costing its length: 1, sqrt 2 or sqrt 5; inf
+        when there is none. A backward A* from the goal, keyed toward the
+        start, closes cells only until cfg is closed and resumes on the next
+        miss (Reverse Resumable A*; Silver, "Cooperative Pathfinding", 2005).
+        Its key, the same distance on an empty grid, is consistent, so every
+        closed cell holds its shortest distance whichever cell is asked
+        about. A popped entry longer than the best distance pushed for its
+        cell is stale and closes nothing, so a longer entry whose key rounds
+        equal to a shorter one's cannot close the cell an ulp long."""
         dist, open_, best = self._dist, self._dopen, self._dbest
         if cfg in dist:
             return dist[cfg]
         tx, ty = self.start
-        # The key's distance to (tx, ty): a + b + w min(a, b) is octile for
-        # w = sqrt 2 - 2 and Manhattan for w = 0.
-        w = SQRT2 - 2.0 if self.mode.any_angle else 0.0
-        nxt, deadline = self._next, self.deadline
+        # The key's distance to (tx, ty), with a >= b the larger and smaller
+        # offset: a + u b where 2 b <= a, else v a + w b. In any-angle mode
+        # that is b steps (2, 1) and a - 2 b steps (1, 0), else a - b steps
+        # (2, 1) and 2 b - a steps (1, 1); u = v = w = 1 gives Manhattan.
+        if self.mode.any_angle:
+            u, v, w = SQRT5 - 2.0, SQRT5 - SQRT2, 2.0 * SQRT2 - SQRT5
+        else:
+            u = v = w = 1.0
+        nxt, deadline, cost = self._dnext, self.deadline, _STEP_COST
         while open_:
             _, ng, c = heappop(open_)
             if c in dist or -ng > best[c]:
@@ -246,12 +265,15 @@ class Search:
             cx, cy = c
             for n in nxt[c]:
                 x, y = n
-                n_g = g + 1.0 if x == cx or y == cy else g + SQRT2
+                n_g = g + cost[(x - cx) * (x - cx) + (y - cy) * (y - cy)]
                 if n_g < best.get(n, INF):
                     best[n] = n_g
                     a = x - tx if x > tx else tx - x
                     b = y - ty if y > ty else ty - y
-                    heappush(open_, (n_g + a + b + w * (a if a < b else b), -n_g, n))
+                    if a < b:
+                        a, b = b, a
+                    key = a + u * b if b + b <= a else v * a + w * b
+                    heappush(open_, (n_g + key, -n_g, n))
             if c == cfg:
                 return g
         return INF

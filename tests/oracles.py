@@ -222,8 +222,8 @@ def flood_fill(grid, start, connectivity=4):
 
 def map_distances(grid, goal, steps):
     """Every cell's distance to goal over the map's successor table for
-    steps, a step costing its length (1 or sqrt 2): a full Dijkstra from the
-    goal. Cells it does not reach are absent."""
+    steps, a step costing its length (1, sqrt 2 or sqrt 5): a full Dijkstra
+    from the goal. Cells it does not reach are absent."""
     succ = grid.successors(steps)
     dist = {}
     heap = [(0.0, tuple(goal))]

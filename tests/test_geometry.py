@@ -5,6 +5,7 @@ import pytest
 
 from anysipp import geometry
 from anysipp.geometry import swept_cells
+from anysipp.planner import K16
 
 from oracles import _point_seg_dist, sampled_swept_cells, seg_box_distance
 
@@ -100,16 +101,17 @@ def _octile_path_inside_sweep(dx, dy) -> bool:
     64, pytest.param(127, marks=pytest.mark.slow),
 ])
 def test_every_sight_line_holds_an_octile_path(span):
-    # Consistency of the any-angle map-distance heuristic, by exhaustion.
-    # The map distance d8 (corner-rule 8-connected, steps 1 and sqrt 2) is
-    # at least the octile distance on any map. Where a line-of-sight move
-    # a -> b is free, so is its sweep, and this test finds a path of octile
-    # length inside the sweep for every first-octant displacement up to
-    # span; by the grid symmetries (test_sweep_commutes_with_grid_symmetries)
-    # that covers every move on maps up to span + 1 cells wide. There
-    # d8(a, b) = octile(a, b) <= K |ab|, K = sqrt(4 - 2 sqrt 2) the largest
-    # ratio of octile to Euclidean length, so h = max(Euclid, d8 / K) obeys
-    # h(a) <= |ab| + h(b): the heuristic is consistent.
+    # The 8-connected counterpart of the 16-neighbour property below, by
+    # exhaustion. The map distance d8 (corner-rule 8-connected, steps 1 and
+    # sqrt 2) is at least the octile distance on any map. Where a
+    # line-of-sight move a -> b is free, so is its sweep, and this test finds
+    # a path of octile length inside the sweep for every first-octant
+    # displacement up to span; by the grid symmetries
+    # (test_sweep_commutes_with_grid_symmetries) that covers every move on
+    # maps up to span + 1 cells wide. There d8(a, b) = octile(a, b) <=
+    # K8 |ab|, K8 = sqrt(4 - 2 sqrt 2) the largest ratio of octile to
+    # Euclidean length, so max(Euclid, d8 / K8) is a consistent heuristic
+    # too; the planner's 16-neighbour one is tighter on the whole.
     bad = [(dx, dy) for dx in range(span + 1) for dy in range(dx + 1)
            if not _octile_path_inside_sweep(dx, dy)]
     assert bad == []
@@ -119,7 +121,7 @@ def test_long_sight_lines_hold_an_octile_path_by_sample():
     # The same property past the exhaustive span, by seeded sample up to
     # 1023: random first-octant displacements, and for a few lengths the
     # flattest and steepest slopes and the two nearest 22.5 degrees, where
-    # the octile-to-Euclidean ratio peaks at K.
+    # the octile-to-Euclidean ratio peaks at K8.
     rng = random.Random(1023)
     cases = [(dx, rng.randint(0, dx)) for dx in (rng.randint(128, 1023) for _ in range(150))]
     for dx in (128, 255, 511, 1023):
@@ -127,6 +129,70 @@ def test_long_sight_lines_hold_an_octile_path_by_sample():
         cases += [(dx, dy) for dy in (0, 1, dx - 1, dx, math.floor(near), math.ceil(near))]
     assert len(cases) == 174
     assert [case for case in cases if not _octile_path_inside_sweep(*case)] == []
+
+
+def _d16(dx, dy) -> float:
+    """The 16-neighbour distance of (dx, dy), 0 <= dy <= dx, on an empty
+    grid: dy steps (2, 1) and dx - 2 dy steps (1, 0) where 2 dy <= dx, else
+    dx - dy steps (2, 1) and 2 dy - dx steps (1, 1)."""
+    if 2 * dy <= dx:
+        return dy * math.sqrt(5.0) + (dx - 2 * dy)
+    return (dx - dy) * math.sqrt(5.0) + (2 * dy - dx) * math.sqrt(2.0)
+
+
+def _sixteen_path_inside_sweep(dx, dy) -> bool:
+    """Whether a 16-neighbour path of length d16 joins (0, 0) to (dx, dy),
+    0 <= dy <= dx, using only cells of their sweep, each step allowed when
+    its own sweep lies in that set (``GridMap.move_is_feasible`` on a map
+    whose free cells are the set). The step costs 1, sqrt 2 and sqrt 5 are
+    independent over the rationals, so a path of length d16 has d16's step
+    counts of each cost. Those counts reach (dx, dy) only if every step
+    moves up and right, and then only the two steps that bracket the move's
+    direction fit: (1, 0) and (2, 1), or (2, 1) and (1, 1). Both advance x,
+    so the search goes column by column."""
+    free = set(swept_cells((0, 0), (dx, dy)))
+    steps = ((1, 0), (2, 1)) if 2 * dy <= dx else ((2, 1), (1, 1))
+    reach = [set() for _ in range(dx + 1)]
+    reach[0].add(0)
+    for x in range(dx):
+        for y in reach[x]:
+            for sx, sy in steps:
+                if x + sx <= dx and free.issuperset(swept_cells((x, y), (x + sx, y + sy))):
+                    reach[x + sx].add(y + sy)
+    return dy in reach[dx]
+
+
+@pytest.mark.parametrize("span", [
+    64, pytest.param(127, marks=pytest.mark.slow),
+])
+def test_every_sight_line_holds_a_sixteen_neighbour_path(span):
+    # Consistency of the any-angle map-distance heuristic, by exhaustion, as
+    # in test_every_sight_line_holds_an_octile_path but for the 16-neighbour
+    # map distance d16 that the planner uses: a free line-of-sight move
+    # a -> b holds a path of length d16(a, b) <= K16 |ab|, so h = max(Euclid,
+    # d16 / K16) obeys h(a) <= |ab| + h(b). K16 = sqrt(10 - 4 sqrt 5) is the
+    # largest ratio of d16 to Euclidean length, approached near slope
+    # sqrt 5 - 2 ((55, 13) at this span).
+    cases = [(dx, dy) for dx in range(span + 1) for dy in range(dx + 1)]
+    assert [case for case in cases if not _sixteen_path_inside_sweep(*case)] == []
+    ratio = max(_d16(dx, dy) / math.hypot(dx, dy) for dx, dy in cases[1:])
+    assert ratio <= K16 and ratio == pytest.approx(K16, abs=1e-7)
+    assert K16 == pytest.approx(1.0 / math.cos(math.atan(0.5) / 2.0), abs=1e-15)
+
+
+def test_long_sight_lines_hold_a_sixteen_neighbour_path_by_sample():
+    # The same past the exhaustive span, by seeded sample up to 1023:
+    # random first-octant displacements, and for a few lengths the flattest
+    # and steepest slopes, slope 1/2 and the two nearest sqrt 5 - 2, where
+    # d16 / Euclid peaks at K16.
+    rng = random.Random(1024)
+    cases = [(dx, rng.randint(0, dx)) for dx in (rng.randint(128, 1023) for _ in range(150))]
+    for dx in (128, 255, 511, 1023):
+        near = dx * (math.sqrt(5.0) - 2.0)
+        cases += [(dx, dy) for dy in (0, 1, dx // 2, dx, math.floor(near), math.ceil(near))]
+    assert len(cases) == 174
+    assert [case for case in cases if not _sixteen_path_inside_sweep(*case)] == []
+    assert max(_d16(*case) / math.hypot(*case) for case in cases) <= K16
 
 
 def test_sweep_symmetry_and_endpoints_and_size():

@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from anysipp.grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap, MapFormatError, parse_map
+from anysipp.grid import (
+    CARDINAL_STEPS,
+    OCTILE_STEPS,
+    SIXTEEN_STEPS,
+    GridMap,
+    MapFormatError,
+    parse_map,
+)
 from anysipp.geometry import swept_cells
 
 from oracles import blocked_grid, sampled_swept_cells
@@ -134,6 +141,27 @@ def test_successor_table_matches_the_corner_rule(steps):
         for r in range(-1, height + 1):
             for c in range(-1, width + 1):
                 assert table[(c, r)] == _corner_rule_successors(g, steps, (c, r)), (seed, c, r)
+
+
+def test_sixteen_step_table_matches_move_feasibility_with_the_maps_own_cells():
+    # The tables scan line of sight in place; move_is_feasible, which the
+    # validator uses, checks the swept cells one by one. Every cell a table
+    # keys or lists is the map's own tuple from free_cells.
+    for seed in range(40):
+        rng = random.Random(seed)
+        width, height = rng.randint(1, 9), rng.randint(1, 9)
+        g = _random_blocked(width, height, rng.choice((0.0, 0.1, 0.3, 0.6)), seed)
+        own = {cell: cell for cell in g.free_cells()}
+        table = g.successors(SIXTEEN_STEPS)
+        for r in range(-1, height + 1):
+            for c in range(-1, width + 1):
+                got = table[(c, r)]
+                assert got == tuple(
+                    (c + dx, r + dy) for dx, dy in SIXTEEN_STEPS
+                    if g.move_is_feasible((c, r), (c + dx, r + dy))
+                ), (seed, c, r)
+                assert all(n is own[n] for n in got)
+        assert all(cell is own[cell] for cell in table if cell in own)
 
 
 def test_move_feasible_straight_on_empty_grid():

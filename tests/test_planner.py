@@ -8,7 +8,7 @@ import pytest
 
 from anysipp import planner
 from anysipp.constraints import TOL, ConstraintTable
-from anysipp.grid import CARDINAL_STEPS, OCTILE_STEPS, GridMap
+from anysipp.grid import CARDINAL_STEPS, OCTILE_STEPS, SIXTEEN_STEPS, GridMap
 from anysipp.planner import (
     GoalUnreachable,
     PlannerMode,
@@ -36,9 +36,11 @@ from oracles import (
 AA = PlannerMode.anyangle()
 CARDINAL = PlannerMode.cardinal()
 INF = math.inf
-# The largest ratio of octile to Euclidean length (see the module docstring
-# of anysipp.planner).
-K = math.sqrt(4.0 - 2.0 * math.sqrt(2.0))
+# The largest ratio of the 16-neighbour distance to Euclidean length (see
+# the module docstring of anysipp.planner), and that of the octile distance,
+# which the any-angle heuristic on blocked maps used before the 16 steps.
+K16 = math.sqrt(10.0 - 4.0 * math.sqrt(5.0))
+K8 = math.sqrt(4.0 - 2.0 * math.sqrt(2.0))
 
 
 def assert_clear_of(traj, obstacles):
@@ -298,11 +300,11 @@ def test_heuristic_values():
         assert trace[-1][0] == (3, 4)
         assert trace[-1][4] == trace[-1][3]
     # A wall between start and goal: the map distance is 6 in both modes
-    # ((0, 0) up, across and down; no diagonal cuts the wall's corner), so
-    # h(start) is 6 / K > 2 (Euclid) in any-angle mode and 6 > 2 (Manhattan)
-    # in cardinal mode.
+    # ((0, 0) up, across and down; no diagonal, (1, 2) or (2, 1) step clears
+    # the wall), so h(start) is 6 / K16 > 2 (Euclid) in any-angle mode and
+    # 6 > 2 (Manhattan) in cardinal mode.
     walled = GridMap.from_blocked(3, 3, [(1, 0), (1, 1)])
-    for mode, h in ((AA, 6.0 / K), (CARDINAL, 6.0)):
+    for mode, h in ((AA, 6.0 / K16), (CARDINAL, 6.0)):
         trace = []
         traj = plan(walled, [], (0, 0), (2, 0), mode, trace=trace)
         assert trace[0][0] == (0, 0) and trace[0][4] == pytest.approx(h, abs=1e-12)
@@ -320,12 +322,14 @@ def test_lazy_map_distances_match_dijkstra():
     # Every free cell is queried twice, in shuffled order, so that the
     # backward search resumes from cells its key does not aim at and answers
     # cells it has closed; on POCKET the cells on the far side of the wall
-    # from the goal read inf.
+    # from the goal read inf. The any-angle distance runs over the 16
+    # neighbour steps (costs 1, sqrt 2 and sqrt 5), the cardinal one over
+    # the 4-connected steps.
     rng = random.Random(2005)
     cases = [(blocked_grid(16, 0.25, seed), None) for seed in range(4)]
     cases += [(POCKET, (5, 5)), (POCKET, (0, 1))]
     for grid, goal in cases:
-        for mode, steps in ((AA, OCTILE_STEPS), (CARDINAL, CARDINAL_STEPS)):
+        for mode, steps in ((AA, SIXTEEN_STEPS), (CARDINAL, CARDINAL_STEPS)):
             target = goal or rng.choice(grid.free_cells())
             want = map_distances(grid, target, steps)
             cells = list(grid.free_cells()) * 2
@@ -352,6 +356,40 @@ def test_map_distance_closes_no_cell_an_ulp_long():
                 step = 1.0 if n[0] == cell[0] or n[1] == cell[1] else math.sqrt(2.0)
                 assert d <= closed[n] + step, (cell, n)
         closed[cell] = d
+
+
+@pytest.mark.parametrize("size", [16, 32, 48])
+def test_any_angle_map_heuristic_is_admissible_and_tighter_than_the_octile_one(size):
+    # Lone agents on blocked maps: h(start), the f of the start's trace
+    # record, never exceeds the planned cost. It is at least the octile
+    # heuristic max(Euclid, d8 / K8) that it replaced on all but a few
+    # starts, and above it on the whole. It is not above it everywhere: along
+    # slope 1/2 a (2, 1) step costs sqrt 5 where the octile path costs
+    # 1 + sqrt 2, and K16 < K8 gives back only part of that (on
+    # blocked_grid(32, 0.2, 2), (23, 2) -> (29, 16) has d16 / K16 = 15.7475
+    # and d8 / K8 = 15.7716). Each (2, 1) step's sweep holds an octile path
+    # of length 1 + sqrt 2, so d8 <= d16 (1 + sqrt 2) / sqrt 5, which bounds
+    # h from below.
+    floor = math.sqrt(5.0) / ((1.0 + math.sqrt(2.0)) * K16)
+    new = old = 0.0
+    below = 0
+    for seed in range(3):
+        grid = blocked_grid(size, 0.2, seed)
+        rng = random.Random(size + seed)
+        for _ in range(8):
+            start, goal = rng.sample(grid.free_cells(), 2)
+            trace = []
+            cost = plan(grid, [], start, goal, AA, trace=trace).cost()
+            assert trace[0][0] == start and trace[0][3] == 0.0
+            h = trace[0][4]
+            d8 = map_distances(grid, goal, OCTILE_STEPS)[start]
+            assert d8 * floor - 1e-9 <= h <= cost + 1e-9, (seed, start, goal)
+            octile = max(math.hypot(goal[0] - start[0], goal[1] - start[1]), d8 / K8)
+            below += h < octile - 1e-9
+            new += h
+            old += octile
+    assert below <= 1
+    assert new > 1.02 * old
 
 
 @pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
@@ -882,14 +920,14 @@ def _check_traced_search(grid, obstacles, start, goal):
     end = search.run()
     traj = reconstruct(end)
     assert trace
-    dist = map_distances(grid, goal, OCTILE_STEPS) if grid.any_blocked else None
+    dist = map_distances(grid, goal, SIXTEEN_STEPS) if grid.any_blocked else None
     for cfg, iv_lo, iv_hi, g, f in trace:
         assert iv_lo - 1e-9 <= g <= iv_hi + 1e-9
         euclid = math.hypot(goal[0] - cfg[0], goal[1] - cfg[1])
         if dist is None:
             assert f == g + euclid
         else:
-            assert abs(f - (g + max(euclid, dist[cfg] / K))) <= 1e-9
+            assert abs(f - (g + max(euclid, dist[cfg] / K16))) <= 1e-9
     assert trace[-1][0] == goal
     assert trace[-1][3] == traj.cost()
     chain = []
