@@ -31,7 +31,8 @@ class MapFormatError(ValueError):
 
 
 class GridMap:
-    """Immutable occupancy grid. Out-of-bounds cells count as blocked."""
+    """Immutable occupancy grid. One index of the free cells, built with the
+    map, says whether a cell is free: any other cell counts as blocked."""
 
     __slots__ = ("width", "height", "_rows", "_free", "any_blocked", "_successors", "_cells")
 
@@ -46,9 +47,13 @@ class GridMap:
         self._free = tuple(
             (c, r) for r, row in enumerate(self._rows) for c, v in enumerate(row) if not v
         )
+        self._cells = {c: c for c in self._free}
         self.any_blocked = len(self._free) < width * height
         self._successors = {}
-        self._cells = None
+
+    def __reduce__(self):
+        # Pickled as its rows: the index and the successor tables are rebuilt.
+        return type(self), (self.width, self.height, self._rows)
 
     @classmethod
     def empty(cls, width: int, height: int) -> "GridMap":
@@ -64,16 +69,12 @@ class GridMap:
         return cls(width, height, [bytes(r) for r in rows])
 
     def is_traversable(self, cell) -> bool:
-        c, r = cell
-        if not (0 <= c < self.width and 0 <= r < self.height):
-            return False
-        return not self._rows[r][c]
+        return tuple(cell) in self._cells
 
     def cells_traversable(self, cells) -> bool:
-        rows = self._rows
-        w, h = self.width, self.height
-        for c, r in cells:
-            if not (0 <= c < w and 0 <= r < h) or rows[r][c]:
+        free = self._cells
+        for cell in cells:
+            if cell not in free:
                 return False
         return True
 
@@ -83,30 +84,35 @@ class GridMap:
         b))``, with the swept cells scanned in place up to the first blocked
         one. They lie in the bounding box of a and b (:func:`sweep_octant`),
         so they need no bounds test."""
-        return _sight_clear(self._rows, a, b)
+        offsets, sx, sy, swap = sweep_octant(a, b)
+        x, y = a
+        rows = self._rows
+        for u, v in offsets:
+            if rows[y + sy * u][x + sx * v] if swap else rows[y + sy * v][x + sx * u]:
+                return False
+        return True
 
     def successors(self, steps: Sequence[Cell]) -> "_Successors":
         """The map's successor table for a step set: indexed by a cell, it
         gives the cells one step away that a disk can slide to, in step
-        order: a step is kept when :meth:`move_is_feasible` would admit it,
-        that is when both cells are free and the line of sight between them
-        is clear. Each cell's entry is filled on first use and kept for
-        the map's life, one table per step set. The tables key and list the
-        map's own cell tuples, those of :meth:`free_cells`, so that a dict
-        lookup with a cell they give matches by identity."""
+        order: a step is kept when both cells are free and
+        :meth:`line_of_sight` between them is clear, as
+        :meth:`move_is_feasible` would admit it. Each cell's entry is filled
+        on first use and kept for the map's life, one table per step set.
+        The tables key and list the map's own cell tuples, those of
+        :meth:`free_cells`, so that a dict lookup with a cell they give
+        matches by identity."""
         steps = tuple(steps)
         table = self._successors.get(steps)
         if table is None:
-            if self._cells is None:
-                self._cells = {c: c for c in self._free}
             table = self._successors[steps] = _Successors(self, steps)
         return table
 
     def move_is_feasible(self, a, b) -> bool:
         """True iff a disk of radius 0.5 can slide straight from a to b
         without touching a blocked (or out-of-bounds) cell."""
-        w, h = self.width, self.height
-        if not (0 <= a[0] < w and 0 <= a[1] < h and 0 <= b[0] < w and 0 <= b[1] < h):
+        free = self._cells
+        if a not in free or b not in free:
             return False
         if not self.any_blocked:
             return True
@@ -118,23 +124,6 @@ class GridMap:
 
     def __repr__(self):
         return f"GridMap({self.width}x{self.height}, blocked={self.any_blocked})"
-
-
-def _sight_clear(rows, a, b) -> bool:
-    """:meth:`GridMap.line_of_sight` over the occupancy rows; the successor
-    tables call it directly, so that the search's own line-of-sight checks
-    are the method's only callers."""
-    offsets, sx, sy, swap = sweep_octant(a, b)
-    x, y = a
-    if swap:
-        for u, v in offsets:
-            if rows[y + sy * u][x + sx * v]:
-                return False
-    else:
-        for u, v in offsets:
-            if rows[y + sy * v][x + sx * u]:
-                return False
-    return True
 
 
 class _Successors(dict):
@@ -158,7 +147,7 @@ class _Successors(dict):
         c, r = a
         out = [b for b in [cells.get((c + dx, r + dy)) for dx, dy in self.steps] if b is not None]
         if grid.any_blocked:
-            out = [b for b in out if _sight_clear(grid._rows, a, b)]
+            out = [b for b in out if grid.line_of_sight(a, b)]
         out = self[a] = tuple(out)
         return out
 

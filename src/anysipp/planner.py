@@ -72,9 +72,7 @@ from .constraints import (
     earliest_arrival,
     _relevant_from_cells,
 )
-# swept_cells is not called here any more; the benchmark's tracer tests still
-# look it up on this module.
-from .geometry import Cell, swept_cells  # noqa: F401
+from .geometry import Cell
 from .grid import CARDINAL_STEPS, OCTILE_STEPS, SIXTEEN_STEPS, GridMap
 from .trajectory import Trajectory, Waypoint
 

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 from pathlib import Path
 
@@ -77,6 +78,18 @@ def test_out_of_bounds_is_blocked():
     assert not g.is_traversable((-1, 0))
     assert not g.is_traversable((8, 0))
     assert not g.is_traversable((0, 8))
+    # a point off the cell centers is blocked, one equal to a center is not
+    assert not g.is_traversable((0.5, 0))
+    assert g.is_traversable((1.0, 2.0))
+
+
+def test_a_map_unpickles_to_the_same_cells():
+    g = GridMap.from_blocked(6, 5, [(1, 1), (4, 2), (0, 4)])
+    g.successors(OCTILE_STEPS)[(0, 0)]  # a filled table is rebuilt, not pickled
+    h = pickle.loads(pickle.dumps(g))
+    assert h.free_cells() == g.free_cells() and h.any_blocked == g.any_blocked
+    cells = [(c, r) for r in range(-1, 7) for c in range(-1, 8)]
+    assert [h.is_traversable(c) for c in cells] == [g.is_traversable(c) for c in cells]
 
 
 def _random_blocked(width, height, share, seed):
@@ -106,6 +119,9 @@ def test_free_cells_and_any_blocked_match_a_scan_of_the_map(g):
     assert list(cells) == scan
     assert g.free_cells() == cells
     assert g.any_blocked == (len(scan) < g.width * g.height)
+    # the free-cell index agrees with the rows that the sight scan reads
+    assert scan == [(c, r) for r in range(g.height) for c in range(g.width)
+                    if g.line_of_sight((c, r), (c, r))]
     # a caller cannot change the map through the cells it was handed
     assert isinstance(cells, tuple) and all(isinstance(c, tuple) for c in cells)
     if cells:

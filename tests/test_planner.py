@@ -111,6 +111,8 @@ def test_errors_are_distinct():
     grid = GridMap.from_blocked(4, 4, [(0, 0), (3, 3)])
     with pytest.raises(StartUnsafe):
         plan(grid, [], (0, 0), (1, 1), AA)
+    with pytest.raises(StartUnsafe):
+        plan(grid, [], (0.5, 0), (1, 1), AA)  # not a cell center
     with pytest.raises(GoalUnreachable):
         plan(grid, [], (1, 1), (3, 3), AA)
     # parked obstacle on the start: in collision at t=0
@@ -270,6 +272,12 @@ def test_blocked_grid_checks_each_move_once(monkeypatch):
     *others, (start, goal) = generate_instance(grid, 6, 3, "separated").agents
     obstacles = plan_all(Instance(grid, others), AA).trajectories
     assert all(obstacles)
+    # The map's successor tables fill through line_of_sight too: fill them
+    # first, so that only the search's own checks are recorded.
+    for steps in (OCTILE_STEPS, SIXTEEN_STEPS):
+        table = grid.successors(steps)
+        for cell in grid.free_cells():
+            table[cell]
     sights, gathers = [], []
     line_of_sight, gather = GridMap.line_of_sight, planner._relevant_from_cells
 

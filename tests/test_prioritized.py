@@ -32,6 +32,16 @@ def test_instance_validation():
         Instance(grid, [((0, 0), (1, 1)), ((1, 0), (1, 1))])  # repeated goal
     with pytest.raises(InstanceError):
         Instance(grid, [((0, 0), (3, 3))])  # blocked goal
+    with pytest.raises(InstanceError):
+        Instance(grid, [((0.5, 0), (1, 1))])  # start not a cell center
+
+
+@pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
+def test_cells_given_as_integral_floats_plan_and_validate(mode):
+    inst = Instance(GridMap.from_blocked(8, 8, [(3, 3)]), [((1.0, 2.0), (6.0, 6.0))])
+    sol = plan_all(inst, mode)
+    assert sol.success
+    assert validate_solution(inst, sol).ok
 
 
 def test_two_disjoint_agents_fly_straight():

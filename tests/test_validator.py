@@ -149,6 +149,13 @@ def test_validate_solution_flags_off_goal_and_static():
     assert any(seg >= 0 for (_, seg, _) in report.static_violations)
 
 
+def test_validate_solution_flags_a_waypoint_off_the_cell_centers():
+    inst = Instance(GridMap.empty(4, 4), [((0, 0), (1, 0))])
+    report = validate_solution(inst, [make_traj([(0, 0), (0.5, 0), (1, 0)])])
+    assert not report.conflicts
+    assert sorted(report.static_violations) == [(0, 0, (0.5, 0)), (0, 1, (0.5, 0)), (0, 1, (1, 0))]
+
+
 def test_validate_solution_skips_missing_trajectories():
     grid = GridMap.empty(4, 4)
     inst = Instance(grid, [((0, 0), (3, 0)), ((0, 1), (3, 1))])
