@@ -138,17 +138,11 @@ def _complement(windows: List[Tuple[float, float]]) -> Tuple[TimeInterval, ...]:
 
 def _relevant_from_cells(a, b, table: ConstraintTable) -> list:
     """The distinct pieces indexed under the swept cells of the move a -> b
-    between cell centers, in the order of the cells: every piece that can
-    come within one diameter of the move. A one-cell step sweeps at most its
-    two ends and the two cells at its corners; a longer move's swept cells
-    are looked up in place, in :func:`swept_cells`' order."""
+    between cell centers, in :func:`swept_cells`' order: every piece that can
+    come within one diameter of the move. The cells are scanned in place
+    from :func:`sweep_octant`'s first-octant offsets."""
     passes = table._passes
     found = {}
-    if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1:
-        for cell in (a, b, (b[0], a[1]), (a[0], b[1])):  # straight: a, b twice
-            for piece in passes.get(cell, ()):
-                found[id(piece)] = piece
-        return list(found.values())
     offsets, sx, sy, swap = sweep_octant(a, b)
     x, y = a
     for u, v in offsets:

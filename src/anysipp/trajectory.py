@@ -35,17 +35,19 @@ class Trajectory:
             raise ValueError(f"first arrival must be 0, got {wps[0].arrival}")
         if wps[-1].wait != math.inf:
             raise ValueError("final waypoint must carry an infinite wait")
-        for i, wp in enumerate(wps[:-1]):
-            if not 0 <= wp.wait < math.inf:
-                raise ValueError(f"waypoint {i} has bad wait {wp.wait}")
-            nxt = wps[i + 1]
-            if nxt.cell == wp.cell:
-                raise ValueError(f"consecutive waypoints {i},{i+1} share cell {wp.cell}")
-            hop = math.hypot(nxt.cell[0] - wp.cell[0], nxt.cell[1] - wp.cell[1])
-            expect = wp.arrival + wp.wait + hop
-            if not abs(nxt.arrival - expect) <= _ARITH_TOL:
+        if not isinstance(wps[0].cell, tuple):
+            raise ValueError(f"waypoint 0 has cell {wps[0].cell!r}, not a tuple")
+        for i, ((cell, arrival, wait), (nxt, nxt_arrival, _)) in enumerate(zip(wps, wps[1:])):
+            if not isinstance(nxt, tuple):
+                raise ValueError(f"waypoint {i+1} has cell {nxt!r}, not a tuple")
+            if not 0 <= wait < math.inf:
+                raise ValueError(f"waypoint {i} has bad wait {wait}")
+            if nxt == cell:
+                raise ValueError(f"consecutive waypoints {i},{i+1} share cell {cell}")
+            expect = arrival + wait + math.hypot(nxt[0] - cell[0], nxt[1] - cell[1])
+            if not abs(nxt_arrival - expect) <= _ARITH_TOL:
                 raise ValueError(
-                    f"arrival {nxt.arrival} at waypoint {i+1} inconsistent, expected {expect}"
+                    f"arrival {nxt_arrival} at waypoint {i+1} inconsistent, expected {expect}"
                 )
 
     def cost(self) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .geometry import Cell, Point
@@ -104,9 +105,8 @@ def validate_solution(instance, solution) -> ValidationReport:
         raise ValueError(f"{len(trajectories)} trajectories for {len(instance.agents)} agents")
     report = ValidationReport()
     grid = instance.grid
-    for i, traj in enumerate(trajectories):
-        if traj is None:
-            continue
+    present = [(i, traj) for i, traj in enumerate(trajectories) if traj is not None]
+    for i, traj in present:
         start, goal = instance.agents[i]
         wps = traj.waypoints
         if wps[0].cell != tuple(start) or abs(wps[0].arrival) > 1e-9:
@@ -119,14 +119,8 @@ def validate_solution(instance, solution) -> ValidationReport:
         for j, (a, b) in enumerate(zip(wps, wps[1:])):
             if not grid.move_is_feasible(a.cell, b.cell):
                 report.static_violations.append((i, j, b.cell))
-    n = len(trajectories)
-    for i in range(n):
-        if trajectories[i] is None:
-            continue
-        for j in range(i + 1, n):
-            if trajectories[j] is None:
-                continue
-            c = first_conflict(trajectories[i], trajectories[j], i, j)
-            if c is not None:
-                report.conflicts.append(c)
+    for (i, traj_i), (j, traj_j) in combinations(present, 2):
+        c = first_conflict(traj_i, traj_j, i, j)
+        if c is not None:
+            report.conflicts.append(c)
     return report

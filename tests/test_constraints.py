@@ -54,9 +54,9 @@ def test_table_indexes_straight_pass():
 
 def test_relevant_pieces_follow_the_swept_cells():
     # The search gathers a move's pieces without materialising its swept
-    # cells: a longer move scans their first-octant offsets in place, a
-    # one-cell step looks up its ends and corners. Both must find the pieces
-    # a gather over swept_cells finds; a longer move in the same order.
+    # cells: every move, a one-cell step as well as a longer one, scans their
+    # first-octant offsets in place. It must find the pieces a gather over
+    # swept_cells finds, in the same order.
     rng = random.Random(30)
     for _ in range(12):
         table = ConstraintTable([random_trajectory(rng, size=12) for _ in range(4)])
@@ -70,10 +70,7 @@ def test_relevant_pieces_follow_the_swept_cells():
                 for piece in table._passes.get(cell, ()):
                     want[id(piece)] = piece
             got = [id(piece) for piece in _relevant_from_cells(a, b, table)]
-            if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1:
-                assert sorted(got) == sorted(want), (a, b)
-            else:
-                assert got == list(want), (a, b)
+            assert got == list(want), (a, b)
 
 
 def test_wait_window_covers_the_whole_wait():

@@ -8,7 +8,7 @@ from anysipp.constraints import ConstraintTable
 from anysipp.grid import GridMap
 from anysipp.planner import PlannerMode
 from anysipp.prioritized import Instance, generate_instance, plan_all
-from anysipp.trajectory import Trajectory
+from anysipp.trajectory import Trajectory, Waypoint
 from anysipp.validate import first_conflict, validate_solution
 
 from oracles import first_sampled_conflict, make_traj, min_distance_sampled, random_trajectory
@@ -154,6 +154,21 @@ def test_validate_solution_flags_a_waypoint_off_the_cell_centers():
     report = validate_solution(inst, [make_traj([(0, 0), (0.5, 0), (1, 0)])])
     assert not report.conflicts
     assert sorted(report.static_violations) == [(0, 0, (0.5, 0)), (0, 1, (0.5, 0)), (0, 1, (1, 0))]
+
+
+def test_a_waypoint_cell_given_as_a_list_is_refused_before_validation():
+    # A list cannot be looked up in the free-cell index, so validate_solution
+    # would raise TypeError on it. Trajectory refuses it, the final waypoint
+    # included; integral float tuples are cells and stay accepted.
+    inst = Instance(GridMap.empty(4, 4), [((0, 0), (1, 0))])
+    with pytest.raises(ValueError, match="not a tuple"):
+        validate_solution(
+            inst, [Trajectory([Waypoint([0, 0], 0.0, 0.0), Waypoint([1, 0], 1.0, math.inf)])]
+        )
+    with pytest.raises(ValueError, match="not a tuple"):
+        Trajectory([Waypoint((0, 0), 0.0, 0.0), Waypoint([1, 0], 1.0, math.inf)])
+    floats = Trajectory([Waypoint((0.0, 0.0), 0.0, 0.0), Waypoint((1.0, 0.0), 1.0, math.inf)])
+    assert validate_solution(inst, [floats]).ok
 
 
 def test_validate_solution_skips_missing_trajectories():
