@@ -44,10 +44,22 @@ class RunRecord:
     seed: int
     # JSON output only: the text of an unexpected exception that ended the
     # run; the first agent status that is not "ok" (or "ok"), and that
-    # agent's index (or None). Both are None when planning raised.
+    # agent's index (or None). Both are None when planning raised. For a
+    # solution the validator rejected, its first finding (see _finding).
     error: Optional[str] = None
     status: Optional[str] = STATUS_OK
     failed_agent: Optional[int] = None
+    rejection: Optional[str] = None
+
+
+def _finding(report) -> str:
+    """The first conflict of a rejected solution, else its first static
+    violation (segment -1 marks an endpoint)."""
+    if report.conflicts:
+        c = report.conflicts[0]
+        return f"conflict at t={c.time!r} between agents {c.agent_a} and {c.agent_b}"
+    agent, segment, cell = report.static_violations[0]
+    return f"static violation: agent {agent}, segment {segment}, cell {cell}"
 
 
 def _run_instance(entry, modes, timeout, dump, traces):
@@ -63,11 +75,15 @@ def _run_instance(entry, modes, timeout, dump, traces):
         t0 = _time.monotonic()
         valid: Optional[bool] = None
         error: Optional[str] = None
+        rejection: Optional[str] = None
         try:
             sol = plan_all(instance, mode, timeout=timeout, collect_traces=traces)
             elapsed = _time.monotonic() - t0
             if sol.success:
-                valid = validate_solution(instance, sol).ok
+                report = validate_solution(instance, sol)
+                valid = report.ok
+                if not valid:
+                    rejection = _finding(report)
         except Exception as exc:  # one bad run must not abort the batch
             sol, elapsed = None, _time.monotonic() - t0
             error = f"{type(exc).__name__}: {exc}"
@@ -78,7 +94,7 @@ def _run_instance(entry, modes, timeout, dump, traces):
             status = STATUS_OK if failed is None else sol.statuses[failed]
         records.append(RunRecord(
             inst_id, mode_name, instance.n_agents, success, elapsed,
-            sol.total_cost if success else None, valid, seed, error, status, failed,
+            sol.total_cost if success else None, valid, seed, error, status, failed, rejection,
         ))
         if sol is None:
             continue

@@ -112,6 +112,27 @@ class Trajectory:
         pieces = self.affine_pieces()
         return pieces, [p[0] for p in pieces]
 
+    @cached_property
+    def _box(self) -> Tuple[float, float, float, float]:
+        """(least x, least y, greatest x, greatest y) over the end points of
+        the cached pieces. Each piece is affine, so the center never leaves
+        this box. Each piece starts where the one before it ends, so the
+        first start and every end give all the end points."""
+        pieces = self._pieces_and_starts[0]
+        lo_x = hi_x = pieces[0][2]
+        lo_y = hi_y = pieces[0][3]
+        for p in pieces:
+            x, y = p[6], p[7]
+            if x < lo_x:
+                lo_x = x
+            elif x > hi_x:
+                hi_x = x
+            if y < lo_y:
+                lo_y = y
+            elif y > hi_y:
+                hi_y = y
+        return lo_x, lo_y, hi_x, hi_y
+
 
 def format_trajectory(traj: Trajectory) -> List[str]:
     """One ``col row arrival wait`` line per waypoint, terminal wait ``inf``."""

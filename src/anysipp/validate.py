@@ -47,9 +47,17 @@ def first_conflict(
     """Earliest time the two open disks overlap, or None.
 
     Checks the full timeline including the infinite parked tails. Each
-    trajectory's pieces are computed once and kept with it, so a solution's
-    pairwise check decomposes every trajectory once.
+    trajectory's pieces, and the bounding box of their end points, are
+    computed once and kept with it, so a solution's pairwise check
+    decomposes every trajectory once. Two trajectories whose boxes lie at
+    least one diameter apart in x or in y keep their centers that far apart
+    at all times, so they return None before the sweep over the pieces (a
+    NaN coordinate fails the test and goes on to the sweep).
     """
+    ax0, ay0, ax1, ay1 = t1._box
+    bx0, by0, bx1, by1 = t2._box
+    if bx0 - ax1 >= 1.0 or ax0 - bx1 >= 1.0 or by0 - ay1 >= 1.0 or ay0 - by1 >= 1.0:
+        return None
     pieces1, starts1 = t1._pieces_and_starts
     pieces2, starts2 = t2._pieces_and_starts
     cuts = sorted(set(starts1).union(starts2))
@@ -99,6 +107,11 @@ def validate_solution(instance, solution) -> ValidationReport:
     Endpoint problems are recorded as static violations with segment
     index -1. Missing trajectories (failed agents) are skipped, but the
     solution must hold one entry per agent, else ValueError.
+
+    Each waypoint is looked up once. The segments are swept only on a grid
+    with a blocked cell, or where a waypoint failed: on an open grid a move
+    between two free cell centers sweeps only cells of their bounding box,
+    which are all free.
     """
     trajectories = getattr(solution, "trajectories", solution)
     if len(trajectories) != len(instance.agents):
@@ -113,12 +126,12 @@ def validate_solution(instance, solution) -> ValidationReport:
             report.static_violations.append((i, -1, wps[0].cell))
         if wps[-1].cell != tuple(goal):
             report.static_violations.append((i, -1, wps[-1].cell))
-        for j, wp in enumerate(wps):
-            if not grid.is_traversable(wp.cell):
-                report.static_violations.append((i, j, wp.cell))
-        for j, (a, b) in enumerate(zip(wps, wps[1:])):
-            if not grid.move_is_feasible(a.cell, b.cell):
-                report.static_violations.append((i, j, b.cell))
+        off = [(i, j, wp.cell) for j, wp in enumerate(wps) if not grid.is_traversable(wp.cell)]
+        report.static_violations += off
+        if grid.any_blocked or off:
+            for j, (a, b) in enumerate(zip(wps, wps[1:])):
+                if not grid.move_is_feasible(a.cell, b.cell):
+                    report.static_violations.append((i, j, b.cell))
     for (i, traj_i), (j, traj_j) in combinations(present, 2):
         c = first_conflict(traj_i, traj_j, i, j)
         if c is not None:

@@ -15,7 +15,7 @@ from anysipp.cli import (
 )
 from anysipp.grid import GridMap
 from anysipp.prioritized import Instance, generate_instance
-from anysipp.validate import ValidationReport
+from anysipp.validate import Conflict, ValidationReport
 
 from oracles import parse_csv
 
@@ -246,7 +246,7 @@ def test_json_record_keys_follow_csv_columns(tmp_path):
     payload = json.loads((tmp_path / "run.json").read_text())
     assert len(payload["records"]) == len(records)
     for rec in payload["records"]:
-        assert list(rec) == CSV_HEADER.split(",") + ["error", "status", "failed_agent"]
+        assert list(rec) == CSV_HEADER.split(",") + ["error", "status", "failed_agent", "rejection"]
 
 
 def test_json_records_name_the_failed_agent(tmp_path):
@@ -354,17 +354,24 @@ def test_main_rejects_an_unusable_out_prefix_before_planning(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fault, status", [
-    (None, 0), ("unsolved", 0), ("rejected", 1), ("raised", 1),
+    (None, 0), ("unsolved", 0), ("rejected", 1), ("conflicted", 1), ("raised", 1),
 ])
 def test_main_exit_status_reports_rejected_and_raised_runs(tmp_path, capsys, monkeypatch,
                                                           fault, status):
     map_path = write_empty_map(tmp_path / "m.map")
     argv = ["--map", str(map_path), "--generate", "separated", "--agents", "2",
-            "--instances", "2", "--mode", "both"]
+            "--instances", "2", "--mode", "both", "--out", str(tmp_path / "run")]
+    # A rejected run's JSON record names the validator's first finding: the
+    # first conflict, else the first static violation.
+    rejection = None
     if fault == "unsolved":
         argv += ["--timeout", "1e-9"]
-    elif fault == "rejected":
-        report = ValidationReport(static_violations=[(0, 0, (0, 0))])
+    elif fault in ("rejected", "conflicted"):
+        report = ValidationReport(static_violations=[(0, 0, (0, 0)), (1, -1, (9, 9))])
+        rejection = "static violation: agent 0, segment 0, cell (0, 0)"
+        if fault == "conflicted":
+            report.conflicts = [Conflict(2.5, 0, 1, (2.5, 0.0), (3.5, 0.0))]
+            rejection = "conflict at t=2.5 between agents 0 and 1"
         monkeypatch.setattr(cli, "validate_solution", lambda instance, sol: report)
     elif fault == "raised":
         def broken_plan_all(instance, mode, **kw):
@@ -373,6 +380,8 @@ def test_main_exit_status_reports_rejected_and_raised_runs(tmp_path, capsys, mon
     assert main(argv) == status
     out = capsys.readouterr().out
     assert out.count("success=True") == (4 if fault is None else 0)
+    records = json.loads((tmp_path / "run.json").read_text())["records"]
+    assert [r["rejection"] for r in records] == [rejection] * 4
 
 
 def test_summarize_common_restriction():

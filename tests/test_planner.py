@@ -355,15 +355,20 @@ def test_map_distance_closes_no_cell_an_ulp_long():
     # most one step past every neighbour closed before it. Here an open entry
     # one ulp longer than its cell's best, whose key rounds equal to the
     # shorter entry's, pops first; it is stale and must not close the cell.
+    # The any-angle distance steps over the 16-neighbourhood, so the knight
+    # steps (cost sqrt 5) are checked too.
     search = Search(blocked_grid(16, 0.2, 0), ConstraintTable(), (0, 3), (12, 4), AA)
     search.run()
     closed = {}
+    knights = 0
     for cell, d in search._dist.items():
-        for n in search._next[cell]:
+        for n in search._dnext[cell]:
             if n in closed:
-                step = 1.0 if n[0] == cell[0] or n[1] == cell[1] else math.sqrt(2.0)
-                assert d <= closed[n] + step, (cell, n)
+                dx, dy = n[0] - cell[0], n[1] - cell[1]
+                assert d <= closed[n] + planner._STEP_COST[dx * dx + dy * dy], (cell, n)
+                knights += dx * dx + dy * dy == 5
         closed[cell] = d
+    assert knights == 40
 
 
 @pytest.mark.parametrize("size", [16, 32, 48])

@@ -109,6 +109,73 @@ def test_analytic_matches_dense_sampling():
         pairs += 1
 
 
+def _boxes_apart(t1, t2):
+    ax0, ay0, ax1, ay1 = t1._box
+    bx0, by0, bx1, by1 = t2._box
+    return bx0 - ax1 >= 1.0 or ax0 - bx1 >= 1.0 or by0 - ay1 >= 1.0 or ay0 - by1 >= 1.0
+
+
+def test_the_bounding_box_screen_changes_no_verdict(monkeypatch):
+    # Soundness runs take first_conflict as their oracle, so its screen is
+    # checked here against the sweep alone: an infinite box screens nothing.
+    rng = random.Random(2024)
+    pairs = [
+        tuple(random_trajectory(rng, size=24, max_moves=20) for _ in range(2))
+        for _ in range(2000)
+    ]
+    screened = [first_conflict(t1, t2) for t1, t2 in pairs]
+    apart = sum(_boxes_apart(t1, t2) for t1, t2 in pairs)
+    monkeypatch.setattr(Trajectory, "_box", (-math.inf, -math.inf, math.inf, math.inf))
+    swept = [first_conflict(Trajectory(t1.waypoints), Trajectory(t2.waypoints)) for t1, t2 in pairs]
+    assert screened == swept
+    assert 700 <= apart <= 1300
+    assert sum(c is not None for c in swept) > 200
+
+
+def test_the_bounding_box_screen_at_one_diameter():
+    # Parked exactly one diameter apart: screened, and legal either way.
+    a, b = make_traj([(0, 0)]), make_traj([(1, 0)])
+    assert _boxes_apart(a, b) and first_conflict(a, b) is None
+    # Just under one diameter apart: not screened, and a conflict only
+    # below 1 - 1e-9.
+    near = make_traj([(1.0 - 1e-10, 0.0)])
+    assert not _boxes_apart(a, near) and first_conflict(a, near) is None
+    nearer = make_traj([(1.0 - 1e-7, 0.0)])
+    assert not _boxes_apart(a, nearer) and first_conflict(a, nearer).time == 0.0
+    # Boxes that touch (0 apart in x and in y) and do conflict.
+    mover, parked = make_traj([(0, 0), (2, 0)]), make_traj([(2, 0)])
+    assert mover._box[2] - parked._box[0] == 0.0 and mover._box[3] - parked._box[1] == 0.0
+    c = first_conflict(mover, parked)
+    assert c is not None and c.time == pytest.approx(1.0, abs=1e-8)
+    # A NaN box is not screened: the pair goes on to the sweep.
+    parked.__dict__["_box"] = (math.nan,) * 4
+    assert first_conflict(make_traj([(2.5, 0.0)]), parked).time == 0.0
+
+
+def test_validate_solution_static_report_in_order():
+    # Per agent: the endpoint problems, the waypoints that are not free
+    # cells, then the segments that are not feasible moves.
+    inst = SimpleNamespace(grid=GridMap.empty(4, 4), agents=[((0, 0), (3, 3)), ((0, 3), (3, 0))])
+    sol = [
+        make_traj([(0, 0), (-1, 0), (0, 1), (1.5, 1), (3, 1), (3, 3)]),
+        make_traj([(0, 3), (3, 3), (3, 4), (3, 0)]),
+    ]
+    assert validate_solution(inst, sol).static_violations == [
+        (0, 1, (-1, 0)), (0, 3, (1.5, 1)),
+        (0, 0, (-1, 0)), (0, 1, (0, 1)), (0, 2, (1.5, 1)), (0, 3, (3, 1)),
+        (1, 2, (3, 4)),
+        (1, 1, (3, 4)), (1, 2, (3, 0)),
+    ]
+    # A blocked waypoint (2, 2), and the move (3, 0) -> (4, 1) cuts the
+    # corner of the blocked (4, 0).
+    grid = GridMap.from_blocked(6, 6, [(2, 2), (4, 0)])
+    inst = SimpleNamespace(grid=grid, agents=[((0, 0), (5, 1))])
+    sol = [make_traj([(0, 0), (2, 2), (3, 1), (3, 0), (4, 1), (5, 1)])]
+    assert validate_solution(inst, sol).static_violations == [
+        (0, 1, (2, 2)), (0, 0, (2, 2)), (0, 1, (3, 1)), (0, 3, (4, 1)),
+    ]
+
+
 def test_validate_solution_accepts_disjoint_lines():
     grid = GridMap.empty(8, 8)
     inst = Instance(grid, [((0, 0), (7, 0)), ((0, 4), (7, 4))])
