@@ -25,20 +25,20 @@ T is the start of the goal's last safe interval, the one unbounded above. So
 an arrival there at B is optimal, and the search ends as soon as it verifies
 one. A goal with no such interval fails before any expansion. Before the
 loop, each mode walks one path of cells that would end there: in any-angle
-mode the straight move from the start to the goal, departing any time the
-start's interval allows; in cardinal mode, when B = h(start), the path the
-loop pops first when no step is delayed. Along that path f stays h(start),
-the deepest entry pops first and ties go to the smaller x, then the smaller
-y, so it runs along x first toward a goal on the left and along y first
-otherwise. A one-cell hop of the walk counts only if the map's successor
-table holds it, since its corners are checked there. Every hop before the
-last must arrive undelayed, and the last hop, into the goal's last
-interval, is verified as below. A hop before the last between two cells
-that hold no obstacle piece passes without records or windows: a cardinal
-step sweeps only its two end cells, under which the table indexes every
-piece that can meet it, so it has no collision windows and its cell has the
-one safe interval [0, inf). The walk falls back to the loop at the first
-hop that fails; a cardinal walk's trajectory is the one the loop would return.
+mode the straight move from the start to a goal other than the start,
+departing any time the start's interval allows; in cardinal mode, when B =
+h(start), the path the loop pops first when no step is delayed. Along that
+path f stays h(start), the deepest entry pops first and ties go to the
+smaller x, then the smaller y, so it runs along x first toward a goal on the
+left and along y first otherwise. A one-cell hop of the walk counts only if
+the map's successor table holds it, since its corners are checked there. Every
+hop before the last must arrive undelayed, and the last hop, into the goal's
+last interval, is verified as below. A hop before the last between two cells
+that hold no obstacle piece passes without records or windows: a cardinal step
+sweeps only its two end cells, under which the table indexes every piece that
+can meet it, so it has no collision windows and its cell has the one safe
+interval [0, inf). The walk falls back to the loop at the first hop that
+fails; a cardinal walk's trajectory is the one the loop would return.
 
 In both modes a candidate into the goal's last interval whose lower bound is
 at most B is verified when it is generated rather than when it is popped,
@@ -89,6 +89,8 @@ _STEP_COST = (0.0, 1.0, SQRT2, 0.0, 0.0, SQRT5)
 # and by sample up to 1023), so the 16-neighbour map distance between a and b
 # is at most K16 |ab|, and d / K16 is a consistent any-angle heuristic.
 K16 = math.sqrt(10.0 - 4.0 * SQRT5)
+# The one safe interval of a cell that holds no obstacle piece.
+_ALWAYS = TimeInterval(0.0, INF)
 
 
 class PlanningError(Exception):
@@ -400,30 +402,34 @@ class Search:
     def _walk(self, root: SearchState, path, goal_iv: TimeInterval) -> bool:
         """Walks path, a list of cells that ends at the goal, from root (see
         the module docstring). A one-cell hop counts only if the successor
-        table holds it, which is checked before the cell is recorded. Every
-        hop but the last must arrive undelayed, at its source's g + 1, in a
-        safe interval of its cell; the last goes through :meth:`_at_bound`
-        into the goal's last interval goal_iv. An earlier hop whose two cells
-        hold no obstacle piece needs neither :meth:`_record` nor
-        :meth:`_arrival`: the one-cell step sweeps only those cells, so it
-        has no windows and arrives in the interval [0, inf). Returns True,
-        with the goal state kept as :attr:`reached`, if every hop passes;
-        False at the first that fails, or for an empty path."""
-        src, passes = root, self.table._passes
+        table holds it, which on a grid with a blocked cell is checked before
+        the cell is recorded; on an open grid the table holds every one-cell
+        hop of path, which stays in the box of start and goal. Every hop but
+        the last must arrive undelayed, at its source's g + 1, in a safe
+        interval of its cell; the last goes through :meth:`_at_bound` into
+        the goal's last interval goal_iv. An earlier hop whose two cells hold
+        no obstacle piece needs neither :meth:`_record` nor :meth:`_arrival`:
+        the one-cell step sweeps only those cells, so it has no windows and
+        arrives in :data:`_ALWAYS`. Returns True, with the goal state kept as
+        :attr:`reached`, if every hop passes; False at the first that fails,
+        or for an empty path."""
+        src, passes, goal = root, self.table._passes, self.goal
+        nxt = self._next if self.grid.any_blocked else None
+        held = root.cfg in passes
         for cfg in path:
-            if (abs(cfg[0] - src.cfg[0]) <= 1 and abs(cfg[1] - src.cfg[1]) <= 1
-                    and cfg not in self._next[src.cfg]):
+            if (nxt is not None and abs(cfg[0] - src.cfg[0]) <= 1
+                    and abs(cfg[1] - src.cfg[1]) <= 1 and cfg not in nxt[src.cfg]):
                 return False
-            if cfg == self.goal:
+            if cfg == goal:
                 return self._at_bound(cfg, goal_iv, src)
             t = src.g + 1.0
-            if src.cfg not in passes and cfg not in passes:
-                iv = TimeInterval(0.0, INF)
-            else:
+            iv = _ALWAYS
+            here = cfg in passes
+            if held or here:
                 iv = next((iv for iv in self._record(cfg)[0] if iv.start <= t <= iv.end), None)
                 if iv is None or self._arrival(cfg, iv, src) != t:
                     return False
-            src = SearchState(cfg, iv, t, src)
+            src, held = SearchState(cfg, iv, t, src), here
         return False
 
     # -- main loop -----------------------------------------------------------
@@ -460,7 +466,7 @@ class Search:
         self.bound = max(h, goal_iv.start)
         path = []
         if self.mode.any_angle:
-            path = [goal]
+            path = [goal] if goal != start else []
         elif self.bound == h:
             (x0, y0), (gx, gy) = start, goal
             sx, sy = (1 if gx > x0 else -1), (1 if gy > y0 else -1)
@@ -508,19 +514,17 @@ class Search:
 def reconstruct(goal_state: SearchState) -> Trajectory:
     """Trajectory from the parent chain, each waypoint arriving at its
     state's g; a wait is inserted at a segment's start whenever the child
-    arrives later than travel time alone allows."""
-    chain = []
-    node = goal_state
-    while node is not None:
-        chain.append(node)
-        node = node.parent
-    chain.reverse()
-    wps = []
-    for u, v in zip(chain, chain[1:]):
+    arrives later than travel time alone allows. One pass from the goal
+    builds the waypoints in reverse."""
+    v = goal_state
+    wps = [Waypoint(v.cfg, v.g, INF)]
+    u = v.parent
+    while u is not None:
         hop = math.hypot(v.cfg[0] - u.cfg[0], v.cfg[1] - u.cfg[1])
         wait = v.g - u.g - hop
         wps.append(Waypoint(u.cfg, u.g, wait if wait > TOL else 0.0))
-    wps.append(Waypoint(chain[-1].cfg, chain[-1].g, INF))
+        v, u = u, u.parent
+    wps.reverse()
     return Trajectory(wps)
 
 

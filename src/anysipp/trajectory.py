@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
 from .geometry import Cell, Point
@@ -23,7 +22,12 @@ class Waypoint(NamedTuple):
 class Trajectory:
     """A ``<path, wait-list>`` pair: straight segments between cell centers at
     unit speed, with waits allowed only at segment start points. The final
-    waypoint carries an infinite wait."""
+    waypoint carries an infinite wait.
+
+    Construction validates the waypoints, then decomposes them once into
+    ``_pieces`` (:meth:`affine_pieces`), their start times ``_starts`` and
+    ``_box``: (least x, least y, greatest x, greatest y) over the first start
+    and every end of the pieces, a box the center never leaves."""
 
     waypoints: List[Waypoint]
 
@@ -49,17 +53,31 @@ class Trajectory:
                 raise ValueError(
                     f"arrival {nxt_arrival} at waypoint {i+1} inconsistent, expected {expect}"
                 )
+        pieces = self._pieces = self.affine_pieces()
+        self._starts = [p[0] for p in pieces]
+        lo_x = hi_x = pieces[0][2]
+        lo_y = hi_y = pieces[0][3]
+        for p in pieces:
+            x, y = p[6], p[7]
+            if x < lo_x:
+                lo_x = x
+            elif x > hi_x:
+                hi_x = x
+            if y < lo_y:
+                lo_y = y
+            elif y > hi_y:
+                hi_y = y
+        self._box = (lo_x, lo_y, hi_x, hi_y)
 
     def cost(self) -> float:
         """Sum of segment lengths and finite waits; equals the final arrival."""
         return self.waypoints[-1].arrival
 
     def position_at(self, time: float) -> Point:
-        """Position at ``time`` (the start before 0), from the cached pieces."""
+        """Position at ``time`` (the start before 0), from the pieces."""
         if math.isnan(time):
             raise ValueError("position_at needs a time, got nan")
-        pieces, starts = self._pieces_and_starts
-        t0, _, x0, y0, vx, vy, _, _ = pieces[max(bisect_right(starts, time) - 1, 0)]
+        t0, _, x0, y0, vx, vy, _, _ = self._pieces[max(bisect_right(self._starts, time) - 1, 0)]
         if time <= t0 or (vx == 0.0 and vy == 0.0):
             return (x0, y0)
         return (x0 + (time - t0) * vx, y0 + (time - t0) * vy)
@@ -103,35 +121,6 @@ class Trajectory:
         x, y = float(wp.cell[0]), float(wp.cell[1])
         pieces.append((wp.arrival, math.inf, x, y, 0.0, 0.0, x, y))
         return pieces
-
-    @cached_property
-    def _pieces_and_starts(self) -> Tuple[List[Tuple[float, ...]], List[float]]:
-        """affine_pieces() and their start times, computed on first use. The
-        constraint table, the validator and position_at all read these, so
-        each trajectory is decomposed once."""
-        pieces = self.affine_pieces()
-        return pieces, [p[0] for p in pieces]
-
-    @cached_property
-    def _box(self) -> Tuple[float, float, float, float]:
-        """(least x, least y, greatest x, greatest y) over the end points of
-        the cached pieces. Each piece is affine, so the center never leaves
-        this box. Each piece starts where the one before it ends, so the
-        first start and every end give all the end points."""
-        pieces = self._pieces_and_starts[0]
-        lo_x = hi_x = pieces[0][2]
-        lo_y = hi_y = pieces[0][3]
-        for p in pieces:
-            x, y = p[6], p[7]
-            if x < lo_x:
-                lo_x = x
-            elif x > hi_x:
-                hi_x = x
-            if y < lo_y:
-                lo_y = y
-            elif y > hi_y:
-                hi_y = y
-        return lo_x, lo_y, hi_x, hi_y
 
 
 def format_trajectory(traj: Trajectory) -> List[str]:

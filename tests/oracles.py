@@ -255,6 +255,23 @@ def blocked_grid(size, share, seed):
     return GridMap.from_blocked(size, size, [c for c in cells if c not in best])
 
 
+def rooms(size, room, seed):
+    """A size x size map of room x room rooms: walls on every (room + 1)-th
+    row and column, each wall with one seeded door into every room it
+    bounds. Corridors and doors make agents follow or cross each other at
+    exactly one diameter."""
+    rng = random.Random(seed)
+    walls = range(room, size, room + 1)
+    blocked = ({(k, i) for k in walls for i in range(size)}
+               | {(i, k) for k in walls for i in range(size)})
+    for k in walls:
+        for s in [0] + [w + 1 for w in walls]:
+            if s < size:
+                d = rng.randrange(s, min(s + room, size))
+                blocked -= {(k, d), (d, k)}
+    return GridMap.from_blocked(size, size, blocked)
+
+
 def _min_dist_affine(x, y, vx, vy, t0, t1, traj):
     """Minimum center distance between a probe moving affinely on [t0, t1]
     and a trajectory, evaluated per overlapping piece in closed form."""

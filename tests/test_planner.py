@@ -598,13 +598,64 @@ def test_every_state_arrives_inside_its_interval(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
-def test_start_at_goal_logs_one_record(mode):
-    trace = []
-    search = Search(GridMap.empty(6, 6), ConstraintTable([]), (2, 3), (2, 3), mode, trace=trace)
-    end = search.run()
-    assert end.cfg == (2, 3) and end.g == 0.0 and end.parent is None
-    assert search.expansions == 0
-    assert trace == [((2, 3), 0.0, INF, 0.0, 0.0)]
+def test_start_at_goal_logs_one_record(mode, monkeypatch):
+    # There is no hop to walk, on an open or a blocked grid: the walk
+    # declines, and the loop pops the start as the goal without an expansion
+    # and logs it once.
+    walked, walk = [], Search._walk
+
+    def watched(self, root, path, goal_iv):
+        walked.append(walk(self, root, path, goal_iv))
+        return walked[-1]
+
+    monkeypatch.setattr(Search, "_walk", watched)
+    obstacles = ConstraintTable([make_traj([(5, 0), (5, 5)])])
+    for blocked in ([], [(1, 3), (3, 3), (2, 4)]):
+        trace, walked[:] = [], []
+        search = Search(GridMap.from_blocked(6, 6, blocked), obstacles, (2, 3), (2, 3), mode,
+                        trace=trace)
+        end = search.run()
+        assert walked == [False]
+        assert end.cfg == (2, 3) and end.g == 0.0 and end.parent is None
+        assert search.expansions == 0
+        assert trace == [((2, 3), 0.0, INF, 0.0, 0.0)]
+        assert reconstruct(end).waypoints == [Waypoint((2, 3), 0.0, INF)]
+
+
+def test_walk_skips_no_table_check_that_could_fail_on_an_open_grid(monkeypatch):
+    # On an open grid the walk takes each one-cell hop of its path as the
+    # successor table's without looking it up. Checking every hop first, as
+    # on a blocked grid, changes no output in either mode, also for the
+    # agents of the walk instances whose goal is their start (zero hops,
+    # which the table never holds); and a cardinal walk returns the loop's
+    # own trajectory, so dropping the walk changes none either.
+    grid = GridMap.empty(20, 20)
+    instances = [generate_instance(grid, 6, seed, "separated") for seed in range(30)]
+    instances += [generate_instance(grid, 6, seed, "walk", walk_steps=8) for seed in range(30)]
+    served, walk = [], Search._walk
+
+    def counted(self, root, path, goal_iv):
+        served.append(walk(self, root, path, goal_iv))
+        return served[-1]
+
+    def checked(self, root, path, goal_iv):
+        cells = [root.cfg] + list(path)
+        for a, b in zip(cells, cells[1:]):
+            if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1 and b not in self._next[a]:
+                return False
+        return walk(self, root, path, goal_iv)
+
+    def outputs(mode, walker):
+        monkeypatch.setattr(Search, "_walk", walker)
+        return [[format_trajectory(t) if t else None for t in plan_all(inst, mode).trajectories]
+                for inst in instances]
+
+    for mode in (AA, CARDINAL):
+        served.clear()
+        with_walk = outputs(mode, counted)
+        assert served.count(True) > 100 and served.count(False) > 10, mode
+        assert outputs(mode, checked) == with_walk, mode
+    assert outputs(CARDINAL, lambda self, root, path, goal_iv: False) == with_walk
 
 
 def test_cardinal_path_exit_leaves_plan_all_unchanged(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -18,7 +19,7 @@ from anysipp.prioritized import (
 )
 from anysipp.trajectory import Trajectory
 from anysipp.validate import validate_solution
-from oracles import blocked_grid
+from oracles import blocked_grid, rooms
 
 AA = PlannerMode.anyangle()
 CARDINAL = PlannerMode.cardinal()
@@ -396,3 +397,44 @@ def test_wfi_instance_on_a_blocked_grid_is_solved(mode):
     sol = plan_all(inst, mode, timeout=30.0)
     assert sol.statuses == ["ok"] * 6
     assert validate_solution(inst, sol).ok
+
+
+# Solved runs on rooms maps that the validator rejects: in each, two centers
+# come 1 - 1.0e-9 to 1 - 1.35e-9 apart, just under its threshold of 1 - 1e-9.
+# reconstruct folds waits of at most TOL into the next move, and
+# earliest_arrival accepts an arrival up to TOL past a window's start; either
+# lets an agent run that much early into a touch at one diameter.
+ROOMS_REJECTED = [
+    # (map size, agents, seed, mode, order)
+    (29, 20, 194, AA, "fifo"),
+    (29, 20, 246, CARDINAL, "fifo"),
+    (29, 20, 310, AA, "fifo"),
+    (29, 20, 381, AA, "fifo"),
+    (35, 30, 6, CARDINAL, "shortest"),
+    (35, 30, 120, AA, "fifo"),
+]
+ROOMS_IDS = [f"{size}-{seed}-{mode.name}-{order}" for size, _, seed, mode, order in ROOMS_REJECTED]
+
+
+@functools.lru_cache(maxsize=None)
+def _rooms_run(size, agents, seed, mode, order):
+    inst = generate_instance(rooms(size, 6, seed), agents, seed, "separated")
+    if order == "shortest":
+        # A stable sort by straight-line distance.
+        inst = Instance(inst.grid, sorted(inst.agents, key=lambda a: math.dist(*a)))
+    return inst, plan_all(inst, mode)
+
+
+@pytest.mark.parametrize("case", ROOMS_REJECTED, ids=ROOMS_IDS)
+def test_rooms_runs_are_solved(case):
+    inst, sol = _rooms_run(*case)
+    assert sol.statuses == ["ok"] * len(inst.agents)
+
+
+@pytest.mark.xfail(strict=True, reason="the planner's TOL-wide wait fold and arrival slack "
+                   "bring centers just under the validator's threshold (ROADMAP soundness item)")
+@pytest.mark.parametrize("case", ROOMS_REJECTED, ids=ROOMS_IDS)
+def test_rooms_solutions_validate(case):
+    inst, sol = _rooms_run(*case)
+    report = validate_solution(inst, sol)
+    assert report.ok, report.conflicts

@@ -1,12 +1,15 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from anysipp.constraints import ConstraintTable
 from anysipp.grid import GridMap
 from anysipp.prioritized import Instance, plan_all
 from anysipp.trajectory import Trajectory, Waypoint, format_trajectory
+from anysipp.validate import first_conflict
 
 from oracles import (
     make_traj, parse_trajectory, random_trajectory, sample_positions, segment_pieces,
@@ -176,6 +179,37 @@ def test_pieces_match_position_at():
         xs, ys = sample_positions(t, np.array(times))
         for tau, x, y in zip(times, xs, ys):
             assert t.position_at(tau) == pytest.approx((x, y), abs=1e-9), tau
+
+
+def test_a_trajectory_is_decomposed_once_at_construction(monkeypatch):
+    # Construction calls affine_pieces once. The constraint table, the
+    # validator and position_at then read what that call returned, and none
+    # of them decomposes the trajectory again.
+    calls = []
+    affine_pieces = Trajectory.affine_pieces
+
+    def counted(self):
+        calls.append(self)
+        return affine_pieces(self)
+
+    monkeypatch.setattr(Trajectory, "affine_pieces", counted)
+    trajs = list(itertools.islice(_random_scenes(), 40))
+    assert len(calls) == 40 and all(c is t for c, t in zip(calls, trajs))
+    table = ConstraintTable(trajs)
+    conflicts = sum(first_conflict(a, b) is not None for a, b in itertools.combinations(trajs, 2))
+    positions = [[t.position_at(0.5 * k) for k in range(60)] for t in trajs]
+    assert len(calls) == 40 and conflicts > 100
+    monkeypatch.undo()
+    indexed = {id(p) for ps in table._passes.values() for p in ps}
+    assert indexed == {id(p) for t in trajs for p in t._pieces}
+    for t, at in zip(trajs, positions):
+        pieces = t.affine_pieces()
+        assert t._pieces == pieces and t._starts == [p[0] for p in pieces]
+        xs, ys = [pieces[0][2]] + [p[6] for p in pieces], [pieces[0][3]] + [p[7] for p in pieces]
+        assert t._box == (min(xs), min(ys), max(xs), max(ys))
+        for k, (x, y) in enumerate(at):
+            t0, _, x0, y0, vx, vy, _, _ = [p for p in pieces if p[0] <= 0.5 * k][-1]
+            assert (x, y) == (x0 + (0.5 * k - t0) * vx, y0 + (0.5 * k - t0) * vy)
 
 
 def test_invalid_trajectories_rejected():

@@ -115,7 +115,14 @@ def _boxes_apart(t1, t2):
     return bx0 - ax1 >= 1.0 or ax0 - bx1 >= 1.0 or by0 - ay1 >= 1.0 or ay0 - by1 >= 1.0
 
 
-def test_the_bounding_box_screen_changes_no_verdict(monkeypatch):
+def _unscreened(traj):
+    """A fresh copy of traj whose infinite box screens nothing."""
+    fresh = Trajectory(traj.waypoints)
+    fresh._box = (-math.inf, -math.inf, math.inf, math.inf)
+    return fresh
+
+
+def test_the_bounding_box_screen_changes_no_verdict():
     # Soundness runs take first_conflict as their oracle, so its screen is
     # checked here against the sweep alone: an infinite box screens nothing.
     rng = random.Random(2024)
@@ -125,8 +132,7 @@ def test_the_bounding_box_screen_changes_no_verdict(monkeypatch):
     ]
     screened = [first_conflict(t1, t2) for t1, t2 in pairs]
     apart = sum(_boxes_apart(t1, t2) for t1, t2 in pairs)
-    monkeypatch.setattr(Trajectory, "_box", (-math.inf, -math.inf, math.inf, math.inf))
-    swept = [first_conflict(Trajectory(t1.waypoints), Trajectory(t2.waypoints)) for t1, t2 in pairs]
+    swept = [first_conflict(_unscreened(t1), _unscreened(t2)) for t1, t2 in pairs]
     assert screened == swept
     assert 700 <= apart <= 1300
     assert sum(c is not None for c in swept) > 200
@@ -148,7 +154,7 @@ def test_the_bounding_box_screen_at_one_diameter():
     c = first_conflict(mover, parked)
     assert c is not None and c.time == pytest.approx(1.0, abs=1e-8)
     # A NaN box is not screened: the pair goes on to the sweep.
-    parked.__dict__["_box"] = (math.nan,) * 4
+    parked._box = (math.nan,) * 4
     assert first_conflict(make_traj([(2.5, 0.0)]), parked).time == 0.0
 
 
