@@ -42,7 +42,10 @@ fails; a cardinal walk's trajectory is the one the loop would return.
 
 In both modes a candidate into the goal's last interval whose lower bound is
 at most B is verified when it is generated rather than when it is popped,
-and ends the search if its true arrival is at most B.
+and ends the search if its true arrival is at most B. In any-angle mode, when
+B > h(start), the straight move from a popped state more than one cell from
+the goal into that interval is verified the same way before the state is
+expanded, if it could depart by B - |s - goal| and h(s) = |s - goal|.
 
 The heuristic is the Euclidean distance to the goal in any-angle mode and the
 Manhattan distance in cardinal mode. On a grid with a blocked cell it is
@@ -334,7 +337,8 @@ class Search:
     def _at_bound(self, cfg, iv, src: SearchState) -> bool:
         """Verifies the move from src into the goal's last interval iv now,
         and keeps the goal state as :attr:`reached`, which ends
-        :meth:`run`, if it arrives by the bound."""
+        :meth:`run`, if it arrives by the bound. Called for candidates, for
+        the walk's last hop and by :meth:`_late_exit`."""
         g = self._arrival(cfg, iv, src)
         if g is None or g > self.bound:
             return False
@@ -350,6 +354,18 @@ class Search:
             return None
         m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
         return earliest_arrival(cols, src.g + m_time, src.interval.end + m_time, iv)
+
+    def _late_exit(self, s: SearchState) -> bool:
+        """Tries the straight move from s to the goal at the bound. A goal
+        next to s is left to :meth:`expand`, whose successor table checks
+        corners; h(s) above |s - goal| means no line of sight (K16)."""
+        dx, dy = s.cfg[0] - self.goal[0], s.cfg[1] - self.goal[1]
+        if -1 <= dx <= 1 and -1 <= dy <= 1:
+            return False
+        d = math.hypot(dx, dy)
+        return (s.g + d <= self.bound and s.interval.end >= self.bound - d
+                and self._cells[s.cfg][1] <= d
+                and self._at_bound(self.goal, self._cells[self.goal][0][-1], s))
 
     def _verify(self, candidate) -> None:
         """Checks a popped candidate's move through :meth:`_cols_for` unless
@@ -439,10 +455,11 @@ class Search:
         refusal is raised here before the search starts. It then chooses its
         mode's pre-loop path and walks it (:meth:`_walk`): the goal alone in
         any-angle mode, the undelayed L path in cardinal mode when B =
-        h(start). Where the walk fails, the loop ends at a goal pop or at a
-        candidate verified at the bound (:meth:`_at_bound`). Every exit sets
-        :attr:`reached`, the state returned, and logs it last; an agent served
-        before the loop logs only its start and its goal."""
+        h(start). Where the walk fails, the loop ends at a goal pop, at a
+        candidate verified at the bound (:meth:`_at_bound`) or at a popped
+        state that passes :meth:`_late_exit`. Every exit sets :attr:`reached`,
+        the state returned, and logs it last; an agent served before the loop
+        logs only its start and its goal."""
         start, goal, grid = self.start, self.goal, self.grid
         if not grid.is_traversable(start):
             raise StartUnsafe(f"start {start} is blocked or out of bounds")
@@ -479,6 +496,7 @@ class Search:
             self._log(root)
         else:
             heappush(self.open, (h, 0.0, start, 0))
+        late = self.mode.any_angle and self.bound > h
         pops = 0
         while self.reached is None:
             if not self.open:
@@ -496,6 +514,8 @@ class Search:
                 continue
             if cfg == goal and math.isinf(node.interval.end):
                 self.reached = node
+                break
+            if late and self._late_exit(node):
                 break
             if self.trace is not None:
                 self._log(node)

@@ -21,7 +21,7 @@ from anysipp.planner import (
 )
 from anysipp.prioritized import Instance, generate_instance, plan_all
 from anysipp.trajectory import Trajectory, Waypoint, format_trajectory
-from anysipp.validate import first_conflict
+from anysipp.validate import first_conflict, validate_solution
 
 from oracles import (
     blocked_grid,
@@ -478,6 +478,169 @@ def test_goal_pop_exit_sets_reached(mode):
     end = search.run()
     assert end is search.reached
     assert search.expansions > 0 and end.g > search.bound == 6.0
+
+
+def _watched_search(grid, table, start, goal, exit_on=True):
+    """An any-angle Search whose late exit is switched off, or records in
+    ``fired`` whether it ended the search."""
+    search = Search(grid, table, start, goal, AA)
+    late_exit, search.fired = search._late_exit, False
+
+    def watched(s):
+        search.fired = late_exit(s)
+        return search.fired
+
+    search._late_exit = watched if exit_on else (lambda s: False)
+    return search
+
+
+def _late_goal_search(exit_on=True):
+    # The goal's occupant leaves along +x at t = 20, so the goal frees for
+    # good at T = 21 > h(start) = 10, and B = T. An obstacle parked on the
+    # straight line until t = 25 makes the move from the start miss B.
+    obstacles = [make_traj([(7, 10), (7, 0)], waits=[25.0]),
+                 make_traj([(12, 10), (23, 10)], waits=[20.0])]
+    table = ConstraintTable(obstacles)
+    return obstacles, _watched_search(GridMap.empty(24, 24), table, (2, 10), (12, 10), exit_on)
+
+
+def test_late_exit_ends_a_late_goal_search_at_the_bound():
+    obstacles, search = _late_goal_search()
+    end = search.run()
+    assert search.bound > search._cells[(2, 10)][1] == 10.0
+    assert search.fired and search.expansions > 0
+    assert max(abs(end.parent.cfg[0] - 12), abs(end.parent.cfg[1] - 10)) > 1
+    assert end.g == search.bound
+    assert_clear_of(reconstruct(end), obstacles)
+    _, loop = _late_goal_search(exit_on=False)
+    assert loop.run().g == search.bound
+    assert search.expansions < loop.expansions
+
+
+def test_late_exit_is_tried_only_for_a_late_goal_in_any_angle_mode(monkeypatch):
+    tried = []
+    monkeypatch.setattr(Search, "_late_exit", lambda self, s: tried.append(s) or False)
+    # B = h(start) = 6: the agent goes round the parked obstacle and arrives
+    # above B, at a goal pop.
+    table = ConstraintTable([make_traj([(3, 0)])])
+    search = Search(GridMap.empty(8, 8), table, (0, 0), (6, 0), AA)
+    assert search.run().g > search.bound == 6.0 and search.expansions > 0
+    # A late goal in cardinal mode.
+    table = ConstraintTable([make_traj([(0, 21), (30, 20)])])
+    search = Search(GridMap.empty(32, 32), table, (20, 14), (20, 20), CARDINAL)
+    search.run()
+    assert search.bound > 6.0 and search.expansions > 0
+    assert tried == []
+
+
+def test_late_exit_never_cuts_a_blocked_corner(monkeypatch):
+    # (2, 2) is diagonal to the goal (3, 3) across the blocked corner cell
+    # (3, 2), and pops long before the goal frees at about t = 9. The goal's
+    # occupant leaves along (1, 1), so only a move along (1, 1), the one from
+    # (2, 2), could arrive then. The exit leaves that step to the successor
+    # table, which lacks it; h(2, 2) = 2 / K16 > sqrt 2 rules it out too.
+    grid = GridMap.from_blocked(8, 8, [(3, 2)])
+    obstacle = make_traj([(3, 3), (7, 7)], waits=[8.0])
+    tried, late_exit = [], Search._late_exit
+
+    def watched(self, s):
+        tried.append(s.cfg)
+        return late_exit(self, s)
+
+    monkeypatch.setattr(Search, "_late_exit", watched)
+    traj = plan(grid, [obstacle], (0, 0), (3, 3), AA)
+    assert (2, 2) in tried
+    wps = traj.waypoints
+    assert all(grid.move_is_feasible(a.cell, b.cell) for a, b in zip(wps, wps[1:]))
+    assert_clear_of(traj, [obstacle])
+
+
+def test_late_exit_leaves_no_static_violation_on_blocked_maps(monkeypatch):
+    fired, late_exit = [], Search._late_exit
+
+    def watched(self, s):
+        fired.append(late_exit(self, s))
+        return fired[-1]
+
+    monkeypatch.setattr(Search, "_late_exit", watched)
+    solved = 0
+    for seed in range(20):
+        inst = generate_instance(blocked_grid(24, 0.2, seed), 16, seed, "separated")
+        sol = plan_all(inst, AA)
+        if sol.success:
+            solved += 1
+            assert validate_solution(inst, sol).static_violations == [], seed
+    assert solved >= 15 and fired.count(True) >= 3
+
+
+def test_late_exit_cost_dominates_the_loop_on_a_fixed_table():
+    # Each agent is replanned against the trajectories planned before it,
+    # with the exit and without it. An arrival at B is optimal, so the exit
+    # never costs more, and it fires only at B.
+    late = fired = 0
+    for seed in range(20):
+        grid = GridMap.empty(24, 24)
+        inst = generate_instance(grid, 16, seed, "separated")
+        sol = plan_all(inst, AA)
+        table = ConstraintTable()
+        for k, ((start, goal), traj) in enumerate(zip(inst.agents, sol.trajectories)):
+            on = _watched_search(grid, table, start, goal)
+            off = _watched_search(grid, table, start, goal, exit_on=False)
+            end_on, end_off = on.run(), off.run()
+            assert end_on.g <= end_off.g + 1e-9, (seed, k)
+            if on.fired:
+                fired += 1
+                assert end_on.g == on.bound, (seed, k)
+                assert_clear_of(reconstruct(end_on), sol.trajectories[:k])
+            late += on.bound > on._cells[on.start][1]
+            table.add_trajectory(traj)
+    assert late >= 30 and fired >= 10
+
+
+def test_a_cell_in_sight_of_the_goal_has_the_euclidean_heuristic(monkeypatch):
+    # The late exit's h(s) <= |s - goal| test rests on this: a map distance
+    # d16 <= K16 |s - goal| along every sight line (see the planner module).
+    searches, run = [], Search.run
+
+    def recording_run(self):
+        searches.append(self)
+        return run(self)
+
+    monkeypatch.setattr(Search, "run", recording_run)
+    for seed in range(6):
+        plan_all(generate_instance(blocked_grid(24, 0.2, seed), 16, seed, "separated"), AA)
+    in_sight = 0
+    for search in searches:
+        gx, gy = search.goal
+        for cfg, (_, h) in search._cells.items():
+            if search.grid.line_of_sight(cfg, search.goal):
+                in_sight += 1
+                assert h == math.hypot(cfg[0] - gx, cfg[1] - gy), (cfg, search.goal)
+    assert in_sight > 1000
+
+
+def test_late_exit_cuts_the_open_grid_work(monkeypatch):
+    # The instances of the benchmark workload aa-open64 at seed 0: 6,856
+    # expansions without the exit and 5,708 with it.
+    instances = [generate_instance(GridMap.empty(64, 64), 6, k, "separated")
+                 for k in range(150)]
+    expansions, run = [], Search.run
+
+    def counting_run(self):
+        try:
+            return run(self)
+        finally:
+            expansions[-1] += self.expansions
+
+    monkeypatch.setattr(Search, "run", counting_run)
+    for exit_on in (True, False):
+        if not exit_on:
+            monkeypatch.setattr(Search, "_late_exit", lambda self, s: False)
+        expansions.append(0)
+        for inst in instances:
+            sol = plan_all(inst, AA)
+            assert sol.success and validate_solution(inst, sol).ok
+    assert expansions[0] <= 0.9 * expansions[1], expansions
 
 
 @pytest.mark.parametrize("goal, cells", [
@@ -1048,19 +1211,11 @@ def _delayed(traj, wait):
     )
 
 
-def test_far_coordinates_and_late_times_stay_conflict_free():
-    # Numerical stress for the absolute tolerances (TOL = 1e-9 here and in
-    # the validator): instances moved to coordinates near 500 of a 512x512
-    # grid, with the first agents held at their starts for about 10^3 time
-    # units, so that the later agents plan around obstacles that move at
-    # times near 10^3 and some of them arrive only then. The free cells are
-    # a room in the grid's far corner: an agent that has to wait that long
-    # for its goal would otherwise search the whole grid first.
+def _far_coordinates_late(grid, deadline=None):
+    """Plans the stress instances below on grid, checking each trajectory
+    against those planned before it; returns how many arrive after t =
+    1000."""
     rng = random.Random(512)
-    room = {(c, r) for c in range(494, 510) for r in range(494, 510)}
-    grid = GridMap.from_blocked(
-        512, 512, [(c, r) for c in range(512) for r in range(512) if (c, r) not in room]
-    )
     late = 0
     for seed in range(10):
         inst = generate_instance(GridMap.empty(12, 12), 6, seed=seed, protocol="separated")
@@ -1069,8 +1224,32 @@ def test_far_coordinates_and_late_times_stay_conflict_free():
         for mode in (AA, CARDINAL):
             obstacles = []
             for k, (start, goal) in enumerate(agents):
-                traj = plan(grid, obstacles, start, goal, mode)
+                traj = plan(grid, obstacles, start, goal, mode, deadline=deadline)
                 assert_clear_of(traj, obstacles)
                 late += traj.cost() > 1000.0
                 obstacles.append(_delayed(traj, rng.uniform(1000.0, 1001.0)) if k < 3 else traj)
+    return late
+
+
+def test_far_coordinates_and_late_times_stay_conflict_free():
+    # Numerical stress for the absolute tolerances (TOL = 1e-9 here and in
+    # the validator): instances moved to coordinates near 500 of a 512x512
+    # grid, with the first agents held at their starts for about 10^3 time
+    # units, so that the later agents plan around obstacles that move at
+    # times near 10^3 and some of them arrive only then. The free cells are
+    # a room in the grid's far corner, so the map-distance heuristic runs
+    # at those coordinates too.
+    room = {(c, r) for c in range(494, 510) for r in range(494, 510)}
+    grid = GridMap.from_blocked(
+        512, 512, [(c, r) for c in range(512) for r in range(512) if (c, r) not in room]
+    )
+    late = _far_coordinates_late(grid)
+    assert late >= 5, late
+
+
+def test_far_late_goals_on_the_whole_grid_end_at_the_bound():
+    # The same agents on the whole empty grid. Any-angle agent 2 of seed 7
+    # arrives at exactly B = 1005.364; without the late exit its search
+    # expands the plateau g + h < B, over 200,000 states.
+    late = _far_coordinates_late(GridMap.empty(512, 512), deadline=time.monotonic() + 10.0)
     assert late >= 5, late

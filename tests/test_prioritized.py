@@ -399,21 +399,32 @@ def test_wfi_instance_on_a_blocked_grid_is_solved(mode):
     assert validate_solution(inst, sol).ok
 
 
-# Solved runs on rooms maps that the validator rejects: in each, two centers
-# come 1 - 1.0e-9 to 1 - 1.35e-9 apart, just under its threshold of 1 - 1e-9.
-# reconstruct folds waits of at most TOL into the next move, and
+# Solved runs on rooms maps, each once rejected by the validator: in each,
+# two centers came 1 - 1.0e-9 to 1 - 1.35e-9 apart, just under its threshold
+# of 1 - 1e-9. reconstruct folds waits of at most TOL into the next move, and
 # earliest_arrival accepts an arrival up to TOL past a window's start; either
-# lets an agent run that much early into a touch at one diameter.
-ROOMS_REJECTED = [
-    # (map size, agents, seed, mode, order)
+# lets an agent run that much early into a touch at one diameter. Since the
+# late exit the four any-angle FIFO runs of 29 and 35 cells validate (their
+# late-goal agents take other trajectories); the mechanism stays, and the
+# other three runs are still rejected.
+# (map size, agents, seed, mode, order)
+ROOMS_VALID = [
     (29, 20, 194, AA, "fifo"),
-    (29, 20, 246, CARDINAL, "fifo"),
     (29, 20, 310, AA, "fifo"),
     (29, 20, 381, AA, "fifo"),
-    (35, 30, 6, CARDINAL, "shortest"),
     (35, 30, 120, AA, "fifo"),
 ]
-ROOMS_IDS = [f"{size}-{seed}-{mode.name}-{order}" for size, _, seed, mode, order in ROOMS_REJECTED]
+ROOMS_REJECTED = [
+    (29, 20, 246, CARDINAL, "fifo"),
+    (35, 30, 6, CARDINAL, "shortest"),
+    # Agents 8 and 19 come 1 - 1.0e-9 apart at t = 10.8929.
+    (29, 20, 719, AA, "fifo"),
+]
+ROOMS_RUNS = ROOMS_VALID + ROOMS_REJECTED
+
+
+def _rooms_ids(cases):
+    return [f"{size}-{seed}-{mode.name}-{order}" for size, _, seed, mode, order in cases]
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,15 +436,22 @@ def _rooms_run(size, agents, seed, mode, order):
     return inst, plan_all(inst, mode)
 
 
-@pytest.mark.parametrize("case", ROOMS_REJECTED, ids=ROOMS_IDS)
+@pytest.mark.parametrize("case", ROOMS_RUNS, ids=_rooms_ids(ROOMS_RUNS))
 def test_rooms_runs_are_solved(case):
     inst, sol = _rooms_run(*case)
     assert sol.statuses == ["ok"] * len(inst.agents)
 
 
+@pytest.mark.parametrize("case", ROOMS_VALID, ids=_rooms_ids(ROOMS_VALID))
+def test_rooms_runs_validate(case):
+    inst, sol = _rooms_run(*case)
+    report = validate_solution(inst, sol)
+    assert report.ok, report.conflicts
+
+
 @pytest.mark.xfail(strict=True, reason="the planner's TOL-wide wait fold and arrival slack "
                    "bring centers just under the validator's threshold (ROADMAP soundness item)")
-@pytest.mark.parametrize("case", ROOMS_REJECTED, ids=ROOMS_IDS)
+@pytest.mark.parametrize("case", ROOMS_REJECTED, ids=_rooms_ids(ROOMS_REJECTED))
 def test_rooms_solutions_validate(case):
     inst, sol = _rooms_run(*case)
     report = validate_solution(inst, sol)
