@@ -23,29 +23,28 @@ the shortcut's pops, and only if the shortcut has not beaten it by then.
 No trajectory reaches the goal for good before B = max(h(start), T), where
 T is the start of the goal's last safe interval, the one unbounded above. So
 an arrival there at B is optimal, and the search ends as soon as it verifies
-one. A goal with no such interval fails before any expansion. Before the
-loop, each mode walks one path of cells that would end there: in any-angle
-mode the straight move from the start to a goal other than the start,
-departing any time the start's interval allows; in cardinal mode, when B =
-h(start), the path the loop pops first when no step is delayed. Along that
-path f stays h(start), the deepest entry pops first and ties go to the
-smaller x, then the smaller y, so it runs along x first toward a goal on the
-left and along y first otherwise. A one-cell hop of the walk counts only if
-the map's successor table holds it, since its corners are checked there. Every
-hop before the last must arrive undelayed, and the last hop, into the goal's
-last interval, is verified as below. A hop before the last between two cells
-that hold no obstacle piece passes without records or windows: a cardinal step
-sweeps only its two end cells, under which the table indexes every piece that
-can meet it, so it has no collision windows and its cell has the one safe
-interval [0, inf). The walk falls back to the loop at the first hop that
-fails; a cardinal walk's trajectory is the one the loop would return.
+one. A goal with no such interval fails before any expansion.
 
 In both modes a candidate into the goal's last interval whose lower bound is
 at most B is verified when it is generated rather than when it is popped,
-and ends the search if its true arrival is at most B. In any-angle mode, when
-B > h(start), the straight move from a popped state more than one cell from
-the goal into that interval is verified the same way before the state is
-expanded, if it could depart by B - |s - goal| and h(s) = |s - goal|.
+and ends the search if its true arrival is at most B. In any-angle mode the
+straight move into that interval from each popped state s more than one cell
+from the goal, the start first, is verified the same way before s expands if
+g(s) + |s - goal| <= B, s can depart by B - |s - goal| and h(s) = |s - goal|.
+
+In cardinal mode, when B = h(start), the search first walks the path of cells
+the loop pops first when no step is delayed. Along that path f stays
+h(start), the deepest entry pops first and ties go to the smaller x, then
+the smaller y, so it runs along x first toward a goal on the left and along
+y first otherwise. A hop of the walk counts only if the map's successor
+table holds it. Every hop before the last must arrive undelayed, and the
+last hop, into the goal's last interval, is verified as above. A hop before
+the last between two cells that hold no obstacle piece passes without
+records or windows: a cardinal step sweeps only its two end cells, under
+which the table indexes every piece that can meet it, so it has no collision
+windows and its cell has the one safe interval [0, inf). The walk falls back
+to the loop at the first hop that fails; its trajectory is the one the loop
+would return.
 
 The heuristic is the Euclidean distance to the goal in any-angle mode and the
 Manhattan distance in cardinal mode. On a grid with a blocked cell it is
@@ -338,7 +337,8 @@ class Search:
         """Verifies the move from src into the goal's last interval iv now,
         and keeps the goal state as :attr:`reached`, which ends
         :meth:`run`, if it arrives by the bound. Called for candidates, for
-        the walk's last hop and by :meth:`_late_exit`."""
+        the walk's last hop and by :meth:`_straight_exit`. The test is exact:
+        a rounded arrival one ulp above B is refused."""
         g = self._arrival(cfg, iv, src)
         if g is None or g > self.bound:
             return False
@@ -355,8 +355,9 @@ class Search:
         m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
         return earliest_arrival(cols, src.g + m_time, src.interval.end + m_time, iv)
 
-    def _late_exit(self, s: SearchState) -> bool:
-        """Tries the straight move from s to the goal at the bound. A goal
+    def _straight_exit(self, s: SearchState) -> bool:
+        """Tries the straight move from a popped state s to the goal at the
+        bound; the guards refuse every s whose move cannot arrive at B. A goal
         next to s is left to :meth:`expand`, whose successor table checks
         corners; h(s) above |s - goal| means no line of sight (K16)."""
         dx, dy = s.cfg[0] - self.goal[0], s.cfg[1] - self.goal[1]
@@ -416,11 +417,11 @@ class Search:
                     self._candidate(cfg, idx, iv, h, s, None)
 
     def _walk(self, root: SearchState, path, goal_iv: TimeInterval) -> bool:
-        """Walks path, a list of cells that ends at the goal, from root (see
-        the module docstring). A one-cell hop counts only if the successor
+        """Walks path, the cardinal path of cells that ends at the goal, from
+        root (see the module docstring). A hop counts only if the successor
         table holds it, which on a grid with a blocked cell is checked before
-        the cell is recorded; on an open grid the table holds every one-cell
-        hop of path, which stays in the box of start and goal. Every hop but
+        the cell is recorded; on an open grid the table holds every hop of
+        path, which stays in the box of start and goal. Every hop but
         the last must arrive undelayed, at its source's g + 1, in a safe
         interval of its cell; the last goes through :meth:`_at_bound` into
         the goal's last interval goal_iv. An earlier hop whose two cells hold
@@ -433,8 +434,7 @@ class Search:
         nxt = self._next if self.grid.any_blocked else None
         held = root.cfg in passes
         for cfg in path:
-            if (nxt is not None and abs(cfg[0] - src.cfg[0]) <= 1
-                    and abs(cfg[1] - src.cfg[1]) <= 1 and cfg not in nxt[src.cfg]):
+            if nxt is not None and cfg not in nxt[src.cfg]:
                 return False
             if cfg == goal:
                 return self._at_bound(cfg, goal_iv, src)
@@ -452,14 +452,13 @@ class Search:
 
     def run(self) -> SearchState:
         """The goal state of a conflict-free trajectory from the start. Every
-        refusal is raised here before the search starts. It then chooses its
-        mode's pre-loop path and walks it (:meth:`_walk`): the goal alone in
-        any-angle mode, the undelayed L path in cardinal mode when B =
-        h(start). Where the walk fails, the loop ends at a goal pop, at a
-        candidate verified at the bound (:meth:`_at_bound`) or at a popped
-        state that passes :meth:`_late_exit`. Every exit sets :attr:`reached`,
-        the state returned, and logs it last; an agent served before the loop
-        logs only its start and its goal."""
+        refusal is raised here before the search starts. A cardinal search
+        with B = h(start) then walks the undelayed L path (:meth:`_walk`).
+        Otherwise the loop logs each state it pops and ends at a goal pop, at
+        a candidate verified at the bound (:meth:`_at_bound`) or, in
+        any-angle mode, at a popped state that passes :meth:`_straight_exit`.
+        Every exit sets :attr:`reached`, the state returned, and logs it
+        last; the walk and the start's straight move log only start and goal."""
         start, goal, grid = self.start, self.goal, self.grid
         if not grid.is_traversable(start):
             raise StartUnsafe(f"start {start} is blocked or out of bounds")
@@ -482,9 +481,7 @@ class Search:
         goal_iv = goal_ivs[-1]
         self.bound = max(h, goal_iv.start)
         path = []
-        if self.mode.any_angle:
-            path = [goal] if goal != start else []
-        elif self.bound == h:
+        if self.bound == h and not self.mode.any_angle:
             (x0, y0), (gx, gy) = start, goal
             sx, sy = (1 if gx > x0 else -1), (1 if gy > y0 else -1)
             xs, ys = range(x0 + sx, gx + sx, sx), range(y0 + sy, gy + sy, sy)
@@ -496,7 +493,6 @@ class Search:
             self._log(root)
         else:
             heappush(self.open, (h, 0.0, start, 0))
-        late = self.mode.any_angle and self.bound > h
         pops = 0
         while self.reached is None:
             if not self.open:
@@ -512,13 +508,13 @@ class Search:
             node = self.nodes[(cfg, idx)]
             if node.g != -ng:
                 continue
-            if cfg == goal and math.isinf(node.interval.end):
-                self.reached = node
-                break
-            if late and self._late_exit(node):
-                break
             if self.trace is not None:
                 self._log(node)
+            if cfg == goal and math.isinf(node.interval.end):
+                self.reached = node
+                return node
+            if self.mode.any_angle and self._straight_exit(node):
+                break
             self.expansions += 1
             self.expand(node)
         self._log(self.reached)

@@ -481,16 +481,16 @@ def test_goal_pop_exit_sets_reached(mode):
 
 
 def _watched_search(grid, table, start, goal, exit_on=True):
-    """An any-angle Search whose late exit is switched off, or records in
+    """An any-angle Search whose straight exit is switched off, or records in
     ``fired`` whether it ended the search."""
     search = Search(grid, table, start, goal, AA)
-    late_exit, search.fired = search._late_exit, False
+    straight_exit, search.fired = search._straight_exit, False
 
     def watched(s):
-        search.fired = late_exit(s)
+        search.fired = straight_exit(s)
         return search.fired
 
-    search._late_exit = watched if exit_on else (lambda s: False)
+    search._straight_exit = watched if exit_on else (lambda s: False)
     return search
 
 
@@ -506,25 +506,33 @@ def _late_goal_search(exit_on=True):
 
 def test_late_exit_ends_a_late_goal_search_at_the_bound():
     obstacles, search = _late_goal_search()
+    search.trace = []
     end = search.run()
     assert search.bound > search._cells[(2, 10)][1] == 10.0
     assert search.fired and search.expansions > 0
     assert max(abs(end.parent.cfg[0] - 12), abs(end.parent.cfg[1] - 10)) > 1
     assert end.g == search.bound
+    # The state the exit fires at is logged as popped, the goal after it.
+    assert [rec[0] for rec in search.trace[-2:]] == [end.parent.cfg, (12, 10)]
+    assert len(search.trace) == search.expansions + 2
     assert_clear_of(reconstruct(end), obstacles)
     _, loop = _late_goal_search(exit_on=False)
     assert loop.run().g == search.bound
     assert search.expansions < loop.expansions
 
 
-def test_late_exit_is_tried_only_for_a_late_goal_in_any_angle_mode(monkeypatch):
+def test_straight_exit_is_tried_on_every_popped_any_angle_state(monkeypatch):
     tried = []
-    monkeypatch.setattr(Search, "_late_exit", lambda self, s: tried.append(s) or False)
+    monkeypatch.setattr(Search, "_straight_exit", lambda self, s: tried.append(s) or False)
     # B = h(start) = 6: the agent goes round the parked obstacle and arrives
-    # above B, at a goal pop.
-    table = ConstraintTable([make_traj([(3, 0)])])
-    search = Search(GridMap.empty(8, 8), table, (0, 0), (6, 0), AA)
+    # above B, at a goal pop. Every state popped before it, the start first,
+    # is logged and then tried.
+    table, trace = ConstraintTable([make_traj([(3, 0)])]), []
+    search = Search(GridMap.empty(8, 8), table, (0, 0), (6, 0), AA, trace=trace)
     assert search.run().g > search.bound == 6.0 and search.expansions > 0
+    assert tried[0] is search.nodes[((0, 0), 0)] and len(tried) == search.expansions
+    assert [rec[0] for rec in trace] == [s.cfg for s in tried] + [(6, 0)]
+    tried.clear()
     # A late goal in cardinal mode.
     table = ConstraintTable([make_traj([(0, 21), (30, 20)])])
     search = Search(GridMap.empty(32, 32), table, (20, 14), (20, 20), CARDINAL)
@@ -541,13 +549,13 @@ def test_late_exit_never_cuts_a_blocked_corner(monkeypatch):
     # table, which lacks it; h(2, 2) = 2 / K16 > sqrt 2 rules it out too.
     grid = GridMap.from_blocked(8, 8, [(3, 2)])
     obstacle = make_traj([(3, 3), (7, 7)], waits=[8.0])
-    tried, late_exit = [], Search._late_exit
+    tried, straight_exit = [], Search._straight_exit
 
     def watched(self, s):
         tried.append(s.cfg)
-        return late_exit(self, s)
+        return straight_exit(self, s)
 
-    monkeypatch.setattr(Search, "_late_exit", watched)
+    monkeypatch.setattr(Search, "_straight_exit", watched)
     traj = plan(grid, [obstacle], (0, 0), (3, 3), AA)
     assert (2, 2) in tried
     wps = traj.waypoints
@@ -556,13 +564,13 @@ def test_late_exit_never_cuts_a_blocked_corner(monkeypatch):
 
 
 def test_late_exit_leaves_no_static_violation_on_blocked_maps(monkeypatch):
-    fired, late_exit = [], Search._late_exit
+    fired, straight_exit = [], Search._straight_exit
 
     def watched(self, s):
-        fired.append(late_exit(self, s))
+        fired.append(straight_exit(self, s))
         return fired[-1]
 
-    monkeypatch.setattr(Search, "_late_exit", watched)
+    monkeypatch.setattr(Search, "_straight_exit", watched)
     solved = 0
     for seed in range(20):
         inst = generate_instance(blocked_grid(24, 0.2, seed), 16, seed, "separated")
@@ -598,7 +606,7 @@ def test_late_exit_cost_dominates_the_loop_on_a_fixed_table():
 
 
 def test_a_cell_in_sight_of_the_goal_has_the_euclidean_heuristic(monkeypatch):
-    # The late exit's h(s) <= |s - goal| test rests on this: a map distance
+    # The straight exit's h(s) <= |s - goal| test rests on this: a map distance
     # d16 <= K16 |s - goal| along every sight line (see the planner module).
     searches, run = [], Search.run
 
@@ -620,8 +628,9 @@ def test_a_cell_in_sight_of_the_goal_has_the_euclidean_heuristic(monkeypatch):
 
 
 def test_late_exit_cuts_the_open_grid_work(monkeypatch):
-    # The instances of the benchmark workload aa-open64 at seed 0: 6,856
-    # expansions without the exit and 5,708 with it.
+    # The instances of the benchmark workload aa-open64 at seed 0: 45,286
+    # expansions without the exit, which then also serves no agent from the
+    # start, and 5,708 with it.
     instances = [generate_instance(GridMap.empty(64, 64), 6, k, "separated")
                  for k in range(150)]
     expansions, run = [], Search.run
@@ -635,7 +644,7 @@ def test_late_exit_cuts_the_open_grid_work(monkeypatch):
     monkeypatch.setattr(Search, "run", counting_run)
     for exit_on in (True, False):
         if not exit_on:
-            monkeypatch.setattr(Search, "_late_exit", lambda self, s: False)
+            monkeypatch.setattr(Search, "_straight_exit", lambda self, s: False)
         expansions.append(0)
         for inst in instances:
             sol = plan_all(inst, AA)
@@ -786,12 +795,12 @@ def test_start_at_goal_logs_one_record(mode, monkeypatch):
 
 
 def test_walk_skips_no_table_check_that_could_fail_on_an_open_grid(monkeypatch):
-    # On an open grid the walk takes each one-cell hop of its path as the
+    # On an open grid the walk takes each hop of its cardinal path as the
     # successor table's without looking it up. Checking every hop first, as
-    # on a blocked grid, changes no output in either mode, also for the
-    # agents of the walk instances whose goal is their start (zero hops,
-    # which the table never holds); and a cardinal walk returns the loop's
-    # own trajectory, so dropping the walk changes none either.
+    # on a blocked grid, changes no output, also for the agents of the walk
+    # instances whose goal is their start (zero hops, which the table never
+    # holds); and the walk returns the loop's own trajectory, so dropping it
+    # changes none either.
     grid = GridMap.empty(20, 20)
     instances = [generate_instance(grid, 6, seed, "separated") for seed in range(30)]
     instances += [generate_instance(grid, 6, seed, "walk", walk_steps=8) for seed in range(30)]
@@ -803,9 +812,8 @@ def test_walk_skips_no_table_check_that_could_fail_on_an_open_grid(monkeypatch):
 
     def checked(self, root, path, goal_iv):
         cells = [root.cfg] + list(path)
-        for a, b in zip(cells, cells[1:]):
-            if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1 and b not in self._next[a]:
-                return False
+        if any(b not in self._next[a] for a, b in zip(cells, cells[1:])):
+            return False
         return walk(self, root, path, goal_iv)
 
     def outputs(mode, walker):
@@ -813,11 +821,9 @@ def test_walk_skips_no_table_check_that_could_fail_on_an_open_grid(monkeypatch):
         return [[format_trajectory(t) if t else None for t in plan_all(inst, mode).trajectories]
                 for inst in instances]
 
-    for mode in (AA, CARDINAL):
-        served.clear()
-        with_walk = outputs(mode, counted)
-        assert served.count(True) > 100 and served.count(False) > 10, mode
-        assert outputs(mode, checked) == with_walk, mode
+    with_walk = outputs(CARDINAL, counted)
+    assert served.count(True) > 100 and served.count(False) > 10
+    assert outputs(CARDINAL, checked) == with_walk
     assert outputs(CARDINAL, lambda self, root, path, goal_iv: False) == with_walk
 
 
@@ -1249,7 +1255,7 @@ def test_far_coordinates_and_late_times_stay_conflict_free():
 
 def test_far_late_goals_on_the_whole_grid_end_at_the_bound():
     # The same agents on the whole empty grid. Any-angle agent 2 of seed 7
-    # arrives at exactly B = 1005.364; without the late exit its search
+    # arrives at exactly B = 1005.364; without the straight exit its search
     # expands the plateau g + h < B, over 200,000 states.
     late = _far_coordinates_late(GridMap.empty(512, 512), deadline=time.monotonic() + 10.0)
     assert late >= 5, late
