@@ -35,10 +35,9 @@ INF = math.inf
 # radius 1 - TOL, a hair inside the diameter: touches at exactly one
 # diameter, which the grid makes common, stay outside it despite rounding.
 # Within one window every distance the validator calls a conflict (below
-# 1 - 1e-9) stays inside, but not through reconstruct's fold of waits of at
-# most TOL or earliest_arrival's TOL slack past a window's start: either can
-# leave two centers about 1e-9 under the validator's threshold (the rooms-map
-# xfails in tests/test_prioritized.py).
+# 1 - 1e-9) stays inside, but not through earliest_arrival's TOL slack past a
+# window's start: it can leave two centers about 1e-9 under the validator's
+# threshold (the rooms-map xfail in tests/test_prioritized.py).
 _WINDOW_R2 = 1.0 - TOL
 
 

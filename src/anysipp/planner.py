@@ -530,15 +530,17 @@ class Search:
 def reconstruct(goal_state: SearchState) -> Trajectory:
     """Trajectory from the parent chain, each waypoint arriving at its
     state's g; a wait is inserted at a segment's start whenever the child
-    arrives later than travel time alone allows. One pass from the goal
-    builds the waypoints in reverse."""
+    arrives later than travel time alone allows, v.g > u.g + hop in the
+    search's own arithmetic, however short the wait. An undelayed hop
+    arrives at exactly u.g + hop, so rounding adds no wait. One pass from
+    the goal builds the waypoints in reverse."""
     v = goal_state
     wps = [Waypoint(v.cfg, v.g, INF)]
     u = v.parent
     while u is not None:
         hop = math.hypot(v.cfg[0] - u.cfg[0], v.cfg[1] - u.cfg[1])
         wait = v.g - u.g - hop
-        wps.append(Waypoint(u.cfg, u.g, wait if wait > TOL else 0.0))
+        wps.append(Waypoint(u.cfg, u.g, wait if v.g > u.g + hop and wait > 0.0 else 0.0))
         v, u = u, u.parent
     wps.reverse()
     return Trajectory(wps)

@@ -605,6 +605,26 @@ def test_late_exit_cost_dominates_the_loop_on_a_fixed_table():
     assert late >= 30 and fired >= 10
 
 
+@pytest.mark.xfail(strict=True, reason="_at_bound compares an arrival with B exactly, so a "
+                   "move that arrives at B in exact arithmetic is refused one ulp above it")
+def test_a_move_that_arrives_at_the_bound_is_not_refused_for_one_ulp():
+    # The obstacle waits on the goal (3, 3) until t = 10 and then leaves
+    # along (1, 1), so the goal frees for good at B = 10.9999999995, where the
+    # straight move from the start arrives exactly. The diagonal step
+    # (2, 2) -> (3, 3) from g = 2 sqrt 2 departs at B - sqrt 2 and arrives at
+    # B in exact arithmetic, but its rounded arrival is 10.999999999500002.
+    # Accepting any arrival up to B + TOL is not the mend: it accepted
+    # 24.08318915708459 against B = 24.08318915683199 (seed 13, agent 15),
+    # which breaks the exact end.g == bound in
+    # test_late_exit_cost_dominates_the_loop_on_a_fixed_table.
+    obstacle = make_traj([(3, 3), (7, 7)], waits=[10.0])
+    search = Search(GridMap.empty(8, 8), ConstraintTable([obstacle]), (0, 0), (3, 3), AA)
+    assert search.run().g == search.bound == 10.9999999995
+    ivs, _ = search._record((2, 2))
+    diagonal = SearchState((2, 2), ivs[0], 2 * math.sqrt(2), search.nodes[((0, 0), 0)])
+    assert search._at_bound((3, 3), search._cells[(3, 3)][0][-1], diagonal)
+
+
 def test_a_cell_in_sight_of_the_goal_has_the_euclidean_heuristic(monkeypatch):
     # The straight exit's h(s) <= |s - goal| test rests on this: a map distance
     # d16 <= K16 |s - goal| along every sight line (see the planner module).

@@ -401,24 +401,26 @@ def test_wfi_instance_on_a_blocked_grid_is_solved(mode):
 
 # Solved runs on rooms maps, each once rejected by the validator: in each,
 # two centers came 1 - 1.0e-9 to 1 - 1.35e-9 apart, just under its threshold
-# of 1 - 1e-9. reconstruct folds waits of at most TOL into the next move, and
-# earliest_arrival accepts an arrival up to TOL past a window's start; either
-# lets an agent run that much early into a touch at one diameter. Since the
-# late exit the four any-angle FIFO runs of 29 and 35 cells validate (their
-# late-goal agents take other trajectories); the mechanism stays, and the
-# other three runs are still rejected.
+# of 1 - 1e-9. reconstruct folded waits of at most TOL into the next move,
+# and earliest_arrival accepts an arrival up to TOL past a window's start;
+# either lets an agent run that much early into a touch at one diameter.
+# Since the late exit the four any-angle FIFO runs of 29 and 35 cells
+# validate (their late-goal agents take other trajectories), and since
+# reconstruct keeps every wait the search planned, so do 29/246 cardinal
+# FIFO and 29/719 any-angle FIFO (where agents 8 and 19 came 1 - 1.0e-9
+# apart at t = 10.8929). The arrival slack stays, and 35/6 cardinal
+# shortest-first is still rejected.
 # (map size, agents, seed, mode, order)
 ROOMS_VALID = [
     (29, 20, 194, AA, "fifo"),
     (29, 20, 310, AA, "fifo"),
     (29, 20, 381, AA, "fifo"),
     (35, 30, 120, AA, "fifo"),
+    (29, 20, 246, CARDINAL, "fifo"),
+    (29, 20, 719, AA, "fifo"),
 ]
 ROOMS_REJECTED = [
-    (29, 20, 246, CARDINAL, "fifo"),
     (35, 30, 6, CARDINAL, "shortest"),
-    # Agents 8 and 19 come 1 - 1.0e-9 apart at t = 10.8929.
-    (29, 20, 719, AA, "fifo"),
 ]
 ROOMS_RUNS = ROOMS_VALID + ROOMS_REJECTED
 
@@ -449,10 +451,28 @@ def test_rooms_runs_validate(case):
     assert report.ok, report.conflicts
 
 
-@pytest.mark.xfail(strict=True, reason="the planner's TOL-wide wait fold and arrival slack "
-                   "bring centers just under the validator's threshold (ROADMAP soundness item)")
+@pytest.mark.xfail(strict=True, reason="earliest_arrival's TOL slack past a window's start "
+                   "brings centers just under the validator's threshold (ROADMAP soundness item)")
 @pytest.mark.parametrize("case", ROOMS_REJECTED, ids=_rooms_ids(ROOMS_REJECTED))
 def test_rooms_solutions_validate(case):
     inst, sol = _rooms_run(*case)
     report = validate_solution(inst, sol)
     assert report.ok, report.conflicts
+
+
+def test_rooms_sweep_solutions_validate():
+    # Every solved run on 23x23 maps of 4x4 rooms, 16 agents, seeds 0-49, in
+    # both modes and in input and shortest-first order, must validate.
+    solved = 0
+    for seed in range(50):
+        inst = generate_instance(rooms(23, 4, seed), 16, seed, "separated")
+        shortest = Instance(inst.grid, sorted(inst.agents, key=lambda a: math.dist(*a)))
+        for order, ordered in (("fifo", inst), ("shortest", shortest)):
+            for mode in (AA, CARDINAL):
+                sol = plan_all(ordered, mode)
+                if sol.success:
+                    solved += 1
+                    report = validate_solution(ordered, sol)
+                    assert report.ok, (seed, mode.name, order, report.conflicts,
+                                       report.static_violations)
+    assert solved >= 190, solved
