@@ -401,15 +401,10 @@ def test_wfi_instance_on_a_blocked_grid_is_solved(mode):
 
 # Solved runs on rooms maps, each once rejected by the validator: in each,
 # two centers came 1 - 1.0e-9 to 1 - 1.35e-9 apart, just under its threshold
-# of 1 - 1e-9. reconstruct folded waits of at most TOL into the next move,
-# and earliest_arrival accepts an arrival up to TOL past a window's start;
-# either lets an agent run that much early into a touch at one diameter.
-# Since the late exit the four any-angle FIFO runs of 29 and 35 cells
-# validate (their late-goal agents take other trajectories), and since
-# reconstruct keeps every wait the search planned, so do 29/246 cardinal
-# FIFO and 29/719 any-angle FIFO (where agents 8 and 19 came 1 - 1.0e-9
-# apart at t = 10.8929). The arrival slack stays, and 35/6 cardinal
-# shortest-first is still rejected.
+# of 1 - 1e-9, because an agent ran up to TOL early into a touch at one
+# diameter. All but one validate now; 35/6 cardinal shortest-first is still
+# rejected, through earliest_arrival's acceptance of an arrival up to TOL
+# past a window's start.
 # (map size, agents, seed, mode, order)
 ROOMS_VALID = [
     (29, 20, 194, AA, "fifo"),
