@@ -481,16 +481,19 @@ def test_goal_pop_exit_sets_reached(mode):
 
 
 def _watched_search(grid, table, start, goal, exit_on=True):
-    """An any-angle Search whose straight exit is switched off, or records in
-    ``fired`` whether it ended the search."""
+    """An any-angle Search whose straight exit is switched off at every state
+    but the start, or records in ``fired`` the state it ended the search at."""
     search = Search(grid, table, start, goal, AA)
-    straight_exit, search.fired = search._straight_exit, False
+    straight_exit, search.fired = search._straight_exit, None
 
     def watched(s):
-        search.fired = straight_exit(s)
-        return search.fired
+        ended = straight_exit(s)
+        if ended:
+            search.fired = s
+        return ended
 
-    search._straight_exit = watched if exit_on else (lambda s: False)
+    search._straight_exit = watched if exit_on else (
+        lambda s: s.parent is None and straight_exit(s))
     return search
 
 
@@ -509,7 +512,7 @@ def test_late_exit_ends_a_late_goal_search_at_the_bound():
     search.trace = []
     end = search.run()
     assert search.bound > search._cells[(2, 10)][1] == 10.0
-    assert search.fired and search.expansions > 0
+    assert search.fired is end.parent and search.expansions > 0
     assert max(abs(end.parent.cfg[0] - 12), abs(end.parent.cfg[1] - 10)) > 1
     assert end.g == search.bound
     # The state the exit fires at is logged as popped, the goal after it.
@@ -567,8 +570,10 @@ def test_late_exit_leaves_no_static_violation_on_blocked_maps(monkeypatch):
     fired, straight_exit = [], Search._straight_exit
 
     def watched(self, s):
-        fired.append(straight_exit(self, s))
-        return fired[-1]
+        ended = straight_exit(self, s)
+        if ended:
+            fired.append(s)
+        return ended
 
     monkeypatch.setattr(Search, "_straight_exit", watched)
     solved = 0
@@ -578,13 +583,15 @@ def test_late_exit_leaves_no_static_violation_on_blocked_maps(monkeypatch):
         if sol.success:
             solved += 1
             assert validate_solution(inst, sol).static_violations == [], seed
-    assert solved >= 15 and fired.count(True) >= 3
+    # Only exits at states other than the start count: the start's straight
+    # move serves most agents whatever the exit does elsewhere.
+    assert solved >= 15 and sum(s.parent is not None for s in fired) >= 3
 
 
 def test_late_exit_cost_dominates_the_loop_on_a_fixed_table():
     # Each agent is replanned against the trajectories planned before it,
-    # with the exit and without it. An arrival at B is optimal, so the exit
-    # never costs more, and it fires only at B.
+    # with the exit and with it tried at the start only. An arrival at B is
+    # optimal, so the exit never costs more, and it fires only at B.
     late = fired = 0
     for seed in range(20):
         grid = GridMap.empty(24, 24)
@@ -597,7 +604,7 @@ def test_late_exit_cost_dominates_the_loop_on_a_fixed_table():
             end_on, end_off = on.run(), off.run()
             assert end_on.g <= end_off.g + 1e-9, (seed, k)
             if on.fired:
-                fired += 1
+                fired += on.fired.parent is not None
                 assert end_on.g == on.bound, (seed, k)
                 assert_clear_of(reconstruct(end_on), sol.trajectories[:k])
             late += on.bound > on._cells[on.start][1]
@@ -648,9 +655,9 @@ def test_a_cell_in_sight_of_the_goal_has_the_euclidean_heuristic(monkeypatch):
 
 
 def test_late_exit_cuts_the_open_grid_work(monkeypatch):
-    # The instances of the benchmark workload aa-open64 at seed 0: 45,286
-    # expansions without the exit, which then also serves no agent from the
-    # start, and 5,708 with it.
+    # The instances of the benchmark workload aa-open64 at seed 0: 6,856
+    # expansions with the exit tried at the start only and 5,708 with it
+    # tried at every popped state.
     instances = [generate_instance(GridMap.empty(64, 64), 6, k, "separated")
                  for k in range(150)]
     expansions, run = [], Search.run
@@ -664,7 +671,8 @@ def test_late_exit_cuts_the_open_grid_work(monkeypatch):
     monkeypatch.setattr(Search, "run", counting_run)
     for exit_on in (True, False):
         if not exit_on:
-            monkeypatch.setattr(Search, "_straight_exit", lambda self, s: False)
+            monkeypatch.setattr(Search, "_straight_exit", lambda self, s, f=Search._straight_exit:
+                                s.parent is None and f(self, s))
         expansions.append(0)
         for inst in instances:
             sol = plan_all(inst, AA)
