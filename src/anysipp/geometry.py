@@ -20,10 +20,13 @@ Point = Tuple[float, float]
 
 
 def _as_cell(p) -> Cell:
-    c, r = round(p[0]), round(p[1])
-    if abs(p[0] - c) > GEOM_TOL or abs(p[1] - r) > GEOM_TOL:
-        raise ValueError(f"segment endpoint {p!r} is not a cell center")
-    return int(c), int(r)
+    try:
+        c, r = round(p[0]), round(p[1])
+        if abs(p[0] - c) <= GEOM_TOL and abs(p[1] - r) <= GEOM_TOL:
+            return int(c), int(r)
+    except (OverflowError, ValueError):  # an infinite or NaN coordinate
+        pass
+    raise ValueError(f"segment endpoint {p!r} is not a cell center")
 
 
 def swept_cells(a, b) -> Tuple[Cell, ...]:
@@ -57,57 +60,54 @@ def sweep_octant(a, b):
     return _swept_cached(dx, dy), sx, sy, False
 
 
-# The swept set is translation invariant and commutes with the grid's eight
-# reflections and rotations, so one entry per first-octant displacement
-# (0 <= dy <= dx) serves every move that maps onto it, and a map of side n
-# has about n^2 / 2 of them. The entries hold cell offsets from the origin;
-# the offset pairs are interned, so that an entry costs one pointer per
-# cell. The bound holds every displacement of a map of side up to 127;
-# larger maps evict the least recent.
-_OFFSETS: dict = {}
-
-
-@lru_cache(maxsize=1 << 13)
-def _swept_cached(dx: int, dy: int) -> Tuple[Cell, ...]:
-    intern = _OFFSETS.setdefault
-    return tuple([intern(c, c) for c in _sweep(dx, dy)])
-
-
-def _sweep(dx: int, dy: int) -> Tuple[Cell, ...]:
-    """The swept cells of the move (0, 0) -> (dx, dy), 0 <= dy <= dx, column
-    by column."""
-    if dx == 0:
-        return ((0, 0),)
-    # Work in doubled coordinates so that cell edges and corners are
-    # integers and every test below is exact.
-    den = dx * dx + dy * dy
-    hit = _CORNER_HIT * den
-    cells = []
-    for x in range(dx + 1):
-        # Rows the segment passes through within this column: distance 0.
-        lo = (dx + dy * max(2 * x - 1, 0)) // (2 * dx)
-        hi = (dx + dy * min(2 * x + 1, 2 * dx)) // (2 * dx)
-        # The row on either side is entered iff the segment passes within the
-        # radius of one of the two corners facing it (the endpoints are cell
-        # centers, at least the radius from any other cell); rows further out
-        # are at least sqrt(0.5) away.
-        below = _corner_near(x, 2 * lo - 1, dx, dy, den, hit)
-        above = _corner_near(x, 2 * hi + 1, dx, dy, den, hit)
-        cells += [(x, r) for r in range(lo - 1 if below else lo, hi + 2 if above else hi + 1)]
-    return tuple(cells)
-
-
+# _COLUMNS[u][r] is the offset (u, r), and every entry takes its offsets from
+# these lists. Column u holds rows 0 to min(u + 1, the largest dy yet): no more.
+_COLUMNS: list = [[(0, 0)]]
 # A corner is within the radius (less GEOM_TOL) of the segment's line iff
 # cross^2 < _CORNER_HIT * den, where cross is the doubled-coordinate cross
 # product, so that the squared distance is cross^2 / (4 * den).
 _CORNER_HIT = (2 * (AGENT_RADIUS - GEOM_TOL)) ** 2
 
 
-def _corner_near(x, y2, dx, dy, den, hit) -> bool:
-    """Whether either corner (x -+ 0.5, y2 / 2) lies within the radius of the
-    segment t * (dx, dy), t in [0, 1]."""
-    for px in (2 * x - 1, 2 * x + 1):
-        cross = dx * y2 - dy * px
-        if cross * cross < hit and 0 <= dx * px + dy * y2 <= 2 * den:
-            return True
-    return False
+def _sweep(dx: int, dy: int) -> Tuple[Cell, ...]:
+    """The swept cells of the move (0, 0) -> (dx, dy), 0 <= dy <= dx, column
+    by column, each column's rows upward.
+
+    In doubled coordinates cell edges and corners are integers and every
+    test is exact. The segment crosses the edge between columns x and x + 1
+    in row hi, one floor division that both columns share: column x holds
+    the rows the segment passes through, from the row it entered in to hi.
+    The row on either side is entered iff the segment passes within the
+    radius of the corner facing it nearest the line. At slopes in [0, 1]
+    those are the two corners of row hi on that edge: the top one for the
+    row above in column x, the bottom one for the row below in column x + 1.
+    Both project onto the segment, so their distance to the line decides.
+    The endpoints are cell centers, so nothing is entered below column 0 or
+    above column dx, and rows further out are at least sqrt(0.5) away."""
+    rows = len(_COLUMNS[-1])
+    if dy >= rows:
+        for u in range(rows - 1, len(_COLUMNS)):
+            _COLUMNS[u] += [(u, r) for r in range(rows, min(u + 2, dy + 1))]
+        rows = dy + 1
+    for u in range(len(_COLUMNS), dx + 1):
+        _COLUMNS.append([(u, r) for r in range(min(u + 2, rows))])
+    hit = _CORNER_HIT * (dx * dx + dy * dy)
+    cells = []
+    lo, below = 0, hit
+    for x, column in enumerate(_COLUMNS[:dx]):
+        hi = (dx + dy * (2 * x + 1)) // (2 * dx)
+        above = dx * (2 * hi + 1) - dy * (2 * x + 1)
+        cells += column[lo - 1 if below < hit else lo:hi + 2 if above * above < hit else hi + 1]
+        lo, below = hi, (above - 2 * dx) ** 2
+    cells += _COLUMNS[dx][lo - 1 if below < hit else lo:dy + 1]
+    return tuple(cells)
+
+
+# The swept set is translation invariant and commutes with the grid's eight
+# reflections and rotations, so one entry per first-octant displacement
+# (0 <= dy <= dx) serves every move that maps onto it, and a map of side n
+# has about n^2 / 2 of them. The entries hold cell offsets from the origin,
+# each column's sliced from one shared list, so that an entry costs one
+# pointer per cell. The bound holds every displacement of a map of side up
+# to 127; larger maps evict the least recent.
+_swept_cached = lru_cache(maxsize=1 << 13)(_sweep)

@@ -85,6 +85,43 @@ def sampled_swept_cells(a, b, step=1e-3):
     return cells
 
 
+# A corner is within the radius (less the 1e-9 band) of the segment's line
+# iff cross^2 < CORNER_HIT * den, where cross is the doubled-coordinate cross
+# product, so that the squared distance is cross^2 / (4 * den).
+CORNER_HIT = (2 * (RADIUS - 1e-9)) ** 2
+
+
+def corner_rule_sweep(dx, dy):
+    """The swept cells of the move (0, 0) -> (dx, dy), 0 <= dy <= dx, column
+    by column and each column's rows upward, by the corner rule: a column
+    holds the rows the segment passes through, and the row on either side
+    iff the segment passes within the radius of either of the two corners
+    facing it, each tested with its own cross product and projection."""
+    if dx == 0:
+        return ((0, 0),)
+    # Doubled coordinates: cell edges and corners are integers.
+    den = dx * dx + dy * dy
+    hit = CORNER_HIT * den
+    cells = []
+    for x in range(dx + 1):
+        lo = (dx + dy * max(2 * x - 1, 0)) // (2 * dx)
+        hi = (dx + dy * min(2 * x + 1, 2 * dx)) // (2 * dx)
+        below = _corner_near(x, 2 * lo - 1, dx, dy, den, hit)
+        above = _corner_near(x, 2 * hi + 1, dx, dy, den, hit)
+        cells += [(x, r) for r in range(lo - 1 if below else lo, hi + 2 if above else hi + 1)]
+    return tuple(cells)
+
+
+def _corner_near(x, y2, dx, dy, den, hit):
+    """Whether either corner (x -+ 0.5, y2 / 2) lies within the radius of the
+    segment t * (dx, dy), t in [0, 1]."""
+    for px in (2 * x - 1, 2 * x + 1):
+        cross = dx * y2 - dy * px
+        if cross * cross < hit and 0 <= dx * px + dy * y2 <= 2 * den:
+            return True
+    return False
+
+
 def _point_seg_dist(px, py, ax, ay, bx, by):
     dx, dy = bx - ax, by - ay
     den = dx * dx + dy * dy

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from anysipp import geometry
+from anysipp.constraints import ConstraintTable
 from anysipp.geometry import swept_cells
 from anysipp.planner import K16
+from anysipp.trajectory import Trajectory, Waypoint
 
-from oracles import _point_seg_dist, sampled_swept_cells, seg_box_distance
+from oracles import _point_seg_dist, corner_rule_sweep, sampled_swept_cells, seg_box_distance
 
 
 def test_horizontal_sweep_excludes_grazed_rows():
@@ -31,6 +33,16 @@ def test_vertical_sweep():
 def test_non_integer_endpoint_rejected():
     with pytest.raises(ValueError):
         swept_cells((0.25, 0), (3, 0))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_endpoint_rejected(x):
+    # The same refusal as for an off-centre endpoint, also where a planner
+    # input reaches it: an obstacle trajectory given to plan() or to a table.
+    with pytest.raises(ValueError, match="not a cell center"):
+        swept_cells((x, 0), (0, 0))
+    with pytest.raises(ValueError, match="not a cell center"):
+        ConstraintTable([Trajectory([Waypoint((x, 0), 0.0, math.inf)])])
 
 
 def _random_segment(rng, size=32):
@@ -208,6 +220,45 @@ def test_sweep_symmetry_and_endpoints_and_size():
         span = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
         assert len(cells) <= 4 * (span + 1)
         assert len(set(cells)) == len(cells)
+
+
+@pytest.mark.parametrize("span", [
+    64, pytest.param(127, marks=pytest.mark.slow),
+])
+def test_sweep_matches_the_corner_rule_inside_its_box(span):
+    # The fill tests one corner per row side and shares each column edge's
+    # row with the next column; the oracle tests both corners of every side
+    # with their projections. The same cells in the same order, for every
+    # first-octant displacement of a map up to span + 1 cells wide (127 is
+    # the cache's bound). Every offset lies in [0, dx] x [0, dy]:
+    # GridMap.line_of_sight indexes the rows of a move's cells unguarded, and
+    # a negative index would wrap.
+    for dx in range(span + 1):
+        for dy in range(dx + 1):
+            cells = geometry._sweep(dx, dy)
+            assert cells == corner_rule_sweep(dx, dy), (dx, dy)
+            assert all(0 <= u <= dx and 0 <= v <= dy for u, v in cells), (dx, dy)
+
+
+def test_cache_entries_share_one_object_per_offset():
+    # One pointer per cell: equal offsets in different entries are one
+    # object, also across a cleared and refilled cache.
+    cache = geometry._swept_cached
+
+    def offsets():
+        seen = {}
+        for dx in range(24):
+            for dy in range(dx + 1):
+                for cell in cache(dx, dy):
+                    assert seen.setdefault(cell, cell) is cell, (dx, dy, cell)
+        return seen
+
+    cache.cache_clear()
+    first = offsets()
+    cache.cache_clear()
+    again = offsets()
+    assert again.keys() == first.keys()
+    assert all(again[cell] is first[cell] for cell in first)
 
 
 def test_moves_with_one_displacement_share_one_cache_entry():
