@@ -1,11 +1,13 @@
 """Golden trajectories: ``plan_all`` output, bit for bit, on fixed instances.
 
 For each instance and mode the golden file holds the per-agent statuses, the
-exact ``total_cost`` and the sha256 of every ``format_trajectory`` line. Any
-change to the planner that moves a single waypoint, arrival or wait fails
-this test; a change meant to alter trajectories must say so and regenerate
-the file with ``PYTHONPATH=src python tests/test_golden.py --write``, which
-prints each instance and mode's old and new ``total_cost`` for the record.
+exact ``total_cost``, the sha256 of every ``format_trajectory`` line and the
+sha256 of every search trace record, in the form the CLI's ``--trace`` file
+writes it. Any change to the planner that moves a single waypoint, arrival
+or wait, or that pops a different state, fails this test; a change meant to
+alter trajectories or traces must say so and regenerate the file with
+``PYTHONPATH=src python tests/test_golden.py --write``, which prints each
+instance and mode's old and new ``total_cost`` for the record.
 """
 
 import hashlib
@@ -49,15 +51,20 @@ def instances():
 
 
 def record(instance, mode):
-    sol = plan_all(instance, mode)
-    digest = hashlib.sha256()
-    for traj in sol.trajectories:
+    sol = plan_all(instance, mode, collect_traces=True)
+    digest, traces = hashlib.sha256(), hashlib.sha256()
+    for traj, trace in zip(sol.trajectories, sol.traces):
         lines = ["-"] if traj is None else format_trajectory(traj)
         digest.update(("\n".join(lines) + "\n#\n").encode())
+        lines = ["-"] if trace is None else [
+            f"{cfg[0]} {cfg[1]} {lo!r} {hi!r} {g!r} {f!r}" for cfg, lo, hi, g, f in trace]
+        traces.update(("\n".join(lines) + "\n#\n").encode())
+    # --write keeps this key order.
     return {
-        "statuses": sol.statuses,
-        "total_cost": sol.total_cost,
         "sha256": digest.hexdigest(),
+        "statuses": sol.statuses,
+        "trace_sha256": traces.hexdigest(),
+        "total_cost": sol.total_cost,
     }
 
 
@@ -93,4 +100,4 @@ if __name__ == "__main__":
         before = old.get(name, {}).get("total_cost")
         changed = "  (changed)" if old.get(name) != rec else ""
         print(f"{name}: total_cost {before} -> {rec['total_cost']}{changed}")
-    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(dict(sorted(new.items())), indent=1) + "\n")
