@@ -46,6 +46,10 @@ class TimeInterval(NamedTuple):
     end: float
 
 
+# The safe intervals of a cell that holds no piece: the one [0, inf).
+_FREE = (TimeInterval(0.0, INF),)
+
+
 class ConstraintTable:
     """Obstacle trajectories as affine pieces indexed by the cells they
     sweep. Built incrementally: each trajectory is added once, as soon as it
@@ -66,7 +70,7 @@ class ConstraintTable:
     def safe_intervals_at(self, cell) -> Tuple[TimeInterval, ...]:
         pieces = self._passes.get(tuple(cell))
         if not pieces:
-            return (TimeInterval(0.0, INF),)
+            return _FREE
         cx, cy = float(cell[0]), float(cell[1])
         windows = _merge(_piece_windows(cx, cy, pieces))
         return _complement(windows)

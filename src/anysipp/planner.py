@@ -25,26 +25,24 @@ T is the start of the goal's last safe interval, the one unbounded above. So
 an arrival there at B is optimal, and the search ends as soon as it verifies
 one. A goal with no such interval fails before any expansion.
 
-In both modes a candidate into the goal's last interval whose lower bound is
-at most B is verified when it is generated rather than when it is popped,
-and ends the search if its true arrival is at most B. In any-angle mode the
-straight move into that interval from each popped state s more than one cell
-from the goal, the start first, is verified the same way before s expands if
+A candidate into the goal's last interval whose lower bound is at most B is
+verified when it is generated rather than when it is popped, and ends the
+search if its true arrival is at most B. So does a popped state's direct path
+into that interval, tried before the state s expands. In any-angle mode it is
+the straight move, tried if s is more than one cell from the goal,
 g(s) + |s - goal| <= B, s can depart by B - |s - goal| and h(s) = |s - goal|.
-
-In cardinal mode, when B = h(start), the search first walks the path of cells
-the loop pops first when no step is delayed. Along that path f stays
-h(start), the deepest entry pops first and ties go to the smaller x, then
-the smaller y, so it runs along x first toward a goal on the left and along
-y first otherwise. A hop of the walk counts only if the map's successor
-table holds it. Every hop before the last must arrive undelayed, and the
-last hop, into the goal's last interval, is verified as above. A hop before
-the last between two cells that hold no obstacle piece passes without
-records or windows: a cardinal step sweeps only its two end cells, under
-which the table indexes every piece that can meet it, so it has no collision
-windows and its cell has the one safe interval [0, inf). The walk falls back
-to the loop at the first hop that fails; its trajectory is the one the loop
-would return.
+In cardinal mode it is tried from the start only, when B = h(start): the path
+of cells the loop pops first when no step is delayed. Along it f stays
+h(start), the deepest entry pops first and ties go to the smaller x, then the
+smaller y, so it runs along x first toward a goal on the left and along y
+first otherwise. Each of its cells is reached at its least possible g, so no
+more ancestral source can tie it, and the walk's trajectory is the loop's. A
+hop counts only if the map's successor table holds it, and every hop before
+the last must arrive undelayed. Such a hop between two cells that hold no
+obstacle piece passes without records or windows: a cardinal step sweeps
+only its two end cells, under which the table indexes every piece that can
+meet it, so it has no collision windows and its cell has the one safe
+interval [0, inf). At the first hop that fails the start expands.
 
 The heuristic is the Euclidean distance to the goal in any-angle mode and the
 Manhattan distance in cardinal mode. On a grid with a blocked cell it is
@@ -67,6 +65,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Optional, Tuple, Union
 
 from .constraints import (
+    _FREE,
     TOL,
     ConstraintTable,
     TimeInterval,
@@ -91,8 +90,6 @@ _STEP_COST = (0.0, 1.0, SQRT2, 0.0, 0.0, SQRT5)
 # and by sample up to 1023), so the 16-neighbour map distance between a and b
 # is at most K16 |ab|, and d / K16 is a consistent any-angle heuristic.
 K16 = math.sqrt(10.0 - 4.0 * SQRT5)
-# The one safe interval of a cell that holds no obstacle piece.
-_ALWAYS = TimeInterval(0.0, INF)
 
 
 class PlanningError(Exception):
@@ -336,9 +333,9 @@ class Search:
     def _at_bound(self, cfg, iv, src: SearchState) -> bool:
         """Verifies the move from src into the goal's last interval iv now,
         and keeps the goal state as :attr:`reached`, which ends
-        :meth:`run`, if it arrives by the bound. Called for candidates, for
-        the walk's last hop and by :meth:`_straight_exit`. The test is exact:
-        a rounded arrival one ulp above B is refused."""
+        :meth:`run`, if it arrives by the bound. Called for candidates and by
+        :meth:`_exit`, for the straight move and for the walk's last hop. The
+        test is exact: a rounded arrival one ulp above B is refused."""
         g = self._arrival(cfg, iv, src)
         if g is None or g > self.bound:
             return False
@@ -355,12 +352,23 @@ class Search:
         m_time = math.hypot(cfg[0] - src.cfg[0], cfg[1] - src.cfg[1])
         return earliest_arrival(cols, src.g + m_time, src.interval.end + m_time, iv)
 
-    def _straight_exit(self, s: SearchState) -> bool:
-        """Tries the straight move from a popped state s to the goal at the
-        bound; the guards refuse every s whose move cannot arrive at B. A goal
-        next to s is left to :meth:`expand`, whose successor table checks
-        corners; h(s) above |s - goal| means no line of sight (K16)."""
-        dx, dy = s.cfg[0] - self.goal[0], s.cfg[1] - self.goal[1]
+    def _exit(self, s: SearchState) -> bool:
+        """Tries the direct path from a popped state s into the goal's last
+        interval, True if it arrives by the bound (see the module docstring):
+        in cardinal mode the start's walk (:meth:`_walk`), in any-angle mode
+        the straight move, whose guards refuse every s that cannot arrive at
+        B. A goal next to s is left to :meth:`expand`, whose successor table
+        checks corners; h(s) above |s - goal| means no line of sight (K16)."""
+        (x0, y0), (gx, gy) = s.cfg, self.goal
+        if not self.mode.any_angle:
+            if s.parent is not None or self._cells[s.cfg][1] != self.bound:
+                return False
+            sx, sy = (1 if gx > x0 else -1), (1 if gy > y0 else -1)
+            xs, ys = range(x0 + sx, gx + sx, sx), range(y0 + sy, gy + sy, sy)
+            if gx < x0:
+                return self._walk(s, [(x, y0) for x in xs] + [(gx, y) for y in ys])
+            return self._walk(s, [(x0, y) for y in ys] + [(x, gy) for x in xs])
+        dx, dy = x0 - gx, y0 - gy
         if -1 <= dx <= 1 and -1 <= dy <= 1:
             return False
         d = math.hypot(dx, dy)
@@ -416,20 +424,19 @@ class Search:
                 if not (shortcut and self._candidate(cfg, idx, iv, h, par, s)):
                     self._candidate(cfg, idx, iv, h, s, None)
 
-    def _walk(self, root: SearchState, path, goal_iv: TimeInterval) -> bool:
+    def _walk(self, root: SearchState, path) -> bool:
         """Walks path, the cardinal path of cells that ends at the goal, from
         root (see the module docstring). A hop counts only if the successor
         table holds it, which on a grid with a blocked cell is checked before
         the cell is recorded; on an open grid the table holds every hop of
-        path, which stays in the box of start and goal. Every hop but
-        the last must arrive undelayed, at its source's g + 1, in a safe
-        interval of its cell; the last goes through :meth:`_at_bound` into
-        the goal's last interval goal_iv. An earlier hop whose two cells hold
-        no obstacle piece needs neither :meth:`_record` nor :meth:`_arrival`:
-        the one-cell step sweeps only those cells, so it has no windows and
-        arrives in :data:`_ALWAYS`. Returns True, with the goal state kept as
-        :attr:`reached`, if every hop passes; False at the first that fails,
-        or for an empty path."""
+        path, which stays in the box of start and goal. Every hop but the
+        last must arrive undelayed, at its source's g + 1, in a safe interval
+        of its cell; the last goes through :meth:`_at_bound` into the goal's
+        last interval. An earlier hop whose two cells hold no obstacle piece
+        needs neither :meth:`_record` nor :meth:`_arrival`, and arrives in a
+        free cell's one safe interval. Returns True, with the goal state kept
+        as :attr:`reached`, if every hop passes; False at the first that
+        fails, or for an empty path."""
         src, passes, goal = root, self.table._passes, self.goal
         nxt = self._next if self.grid.any_blocked else None
         held = root.cfg in passes
@@ -437,9 +444,9 @@ class Search:
             if nxt is not None and cfg not in nxt[src.cfg]:
                 return False
             if cfg == goal:
-                return self._at_bound(cfg, goal_iv, src)
+                return self._at_bound(cfg, self._cells[goal][0][-1], src)
             t = src.g + 1.0
-            iv = _ALWAYS
+            iv = _FREE[0]
             here = cfg in passes
             if held or here:
                 iv = next((iv for iv in self._record(cfg)[0] if iv.start <= t <= iv.end), None)
@@ -452,13 +459,12 @@ class Search:
 
     def run(self) -> SearchState:
         """The goal state of a conflict-free trajectory from the start. Every
-        refusal is raised here before the search starts. A cardinal search
-        with B = h(start) then walks the undelayed L path (:meth:`_walk`).
-        Otherwise the loop logs each state it pops and ends at a goal pop, at
-        a candidate verified at the bound (:meth:`_at_bound`) or, in
-        any-angle mode, at a popped state that passes :meth:`_straight_exit`.
-        Every exit sets :attr:`reached`, the state returned, and logs it
-        last; the walk and the start's straight move log only start and goal."""
+        refusal is raised here before the search starts. The loop then pops
+        the start first and ends at a goal pop, at a candidate verified at
+        the bound (:meth:`_at_bound`) or at a popped state whose direct path
+        arrives at the bound (:meth:`_exit`). It logs each popped state but a
+        goal before trying its exit; each way out sets :attr:`reached`, the
+        state returned, which is logged last."""
         start, goal, grid = self.start, self.goal, self.grid
         if not grid.is_traversable(start):
             raise StartUnsafe(f"start {start} is blocked or out of bounds")
@@ -478,21 +484,8 @@ class Search:
         goal_ivs, _ = self._record(goal)
         if not goal_ivs or goal_ivs[-1].end != INF:
             raise GoalUnreachable(f"goal {goal} is never free for good")
-        goal_iv = goal_ivs[-1]
-        self.bound = max(h, goal_iv.start)
-        path = []
-        if self.bound == h and not self.mode.any_angle:
-            (x0, y0), (gx, gy) = start, goal
-            sx, sy = (1 if gx > x0 else -1), (1 if gy > y0 else -1)
-            xs, ys = range(x0 + sx, gx + sx, sx), range(y0 + sy, gy + sy, sy)
-            if gx < x0:
-                path = [(x, y0) for x in xs] + [(gx, y) for y in ys]
-            else:
-                path = [(x0, y) for y in ys] + [(x, gy) for x in xs]
-        if self._walk(root, path, goal_iv):
-            self._log(root)
-        else:
-            heappush(self.open, (h, 0.0, start, 0))
+        self.bound = max(h, goal_ivs[-1].start)
+        heappush(self.open, (h, 0.0, start, 0))
         pops = 0
         while self.reached is None:
             if not self.open:
@@ -508,15 +501,14 @@ class Search:
             node = self.nodes[(cfg, idx)]
             if node.g != -ng:
                 continue
-            if self.trace is not None:
-                self._log(node)
             if cfg == goal and math.isinf(node.interval.end):
                 self.reached = node
-                return node
-            if self.mode.any_angle and self._straight_exit(node):
                 break
-            self.expansions += 1
-            self.expand(node)
+            if self.trace is not None:
+                self._log(node)
+            if not self._exit(node):
+                self.expansions += 1
+                self.expand(node)
         self._log(self.reached)
         return self.reached
 

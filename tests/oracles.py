@@ -309,6 +309,47 @@ def rooms(size, room, seed):
     return GridMap.from_blocked(size, size, blocked)
 
 
+def corridors(size, seed, gaps=2):
+    """A size x size map of corridors two rows wide: a wall on every row r
+    with r % 3 == 2, each with ``gaps`` seeded openings. Agents in a corridor
+    pass each other at about one diameter and queue at the openings."""
+    rng = random.Random(seed)
+    blocked = set()
+    for r in range(2, size, 3):
+        doors = set(rng.sample(range(size), gaps))
+        blocked |= {(c, r) for c in range(size) if c not in doors}
+    return GridMap.from_blocked(size, size, blocked)
+
+
+def maze(rooms, seed):
+    """A seeded depth-first maze of rooms x rooms cells, each cell two by
+    two free grid cells inside one-cell walls, and each passage two cells
+    wide: a map of 3 rooms + 1 cells a side."""
+    rng = random.Random(seed)
+    size = 3 * rooms + 1
+    free = set()
+    seen, stack = {(0, 0)}, [(0, 0)]
+    while stack:
+        i, j = stack[-1]
+        free |= {(3 * i + 1 + a, 3 * j + 1 + b) for a in (0, 1) for b in (0, 1)}
+        nxt = [(i + di, j + dj) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
+               if 0 <= i + di < rooms and 0 <= j + dj < rooms and (i + di, j + dj) not in seen]
+        if not nxt:
+            stack.pop()
+            continue
+        k, m = rng.choice(nxt)
+        # The wall between the two cells opens over both of their shared rows
+        # or columns.
+        if k != i:
+            free |= {(3 * max(i, k), 3 * j + 1 + b) for b in (0, 1)}
+        else:
+            free |= {(3 * i + 1 + a, 3 * max(j, m)) for a in (0, 1)}
+        seen.add((k, m))
+        stack.append((k, m))
+    return GridMap.from_blocked(size, size, [(c, r) for c in range(size) for r in range(size)
+                                             if (c, r) not in free])
+
+
 def _min_dist_affine(x, y, vx, vy, t0, t1, traj):
     """Minimum center distance between a probe moving affinely on [t0, t1]
     and a trajectory, evaluated per overlapping piece in closed form."""

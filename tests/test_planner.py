@@ -484,16 +484,15 @@ def _watched_search(grid, table, start, goal, exit_on=True):
     """An any-angle Search whose straight exit is switched off at every state
     but the start, or records in ``fired`` the state it ended the search at."""
     search = Search(grid, table, start, goal, AA)
-    straight_exit, search.fired = search._straight_exit, None
+    exit_, search.fired = search._exit, None
 
     def watched(s):
-        ended = straight_exit(s)
+        ended = exit_(s)
         if ended:
             search.fired = s
         return ended
 
-    search._straight_exit = watched if exit_on else (
-        lambda s: s.parent is None and straight_exit(s))
+    search._exit = watched if exit_on else (lambda s: s.parent is None and exit_(s))
     return search
 
 
@@ -525,8 +524,8 @@ def test_late_exit_ends_a_late_goal_search_at_the_bound():
 
 
 def test_straight_exit_is_tried_on_every_popped_any_angle_state(monkeypatch):
-    tried = []
-    monkeypatch.setattr(Search, "_straight_exit", lambda self, s: tried.append(s) or False)
+    tried, walked, exit_ = [], [], Search._exit
+    monkeypatch.setattr(Search, "_exit", lambda self, s: tried.append(s) or False)
     # B = h(start) = 6: the agent goes round the parked obstacle and arrives
     # above B, at a goal pop. Every state popped before it, the start first,
     # is logged and then tried.
@@ -536,12 +535,16 @@ def test_straight_exit_is_tried_on_every_popped_any_angle_state(monkeypatch):
     assert tried[0] is search.nodes[((0, 0), 0)] and len(tried) == search.expansions
     assert [rec[0] for rec in trace] == [s.cfg for s in tried] + [(6, 0)]
     tried.clear()
-    # A late goal in cardinal mode.
+    # A late goal in cardinal mode: the exit is tried on every popped state
+    # too, but B > h(start), so the start does not walk.
+    monkeypatch.setattr(Search, "_exit", lambda self, s: tried.append(s) or exit_(self, s))
+    monkeypatch.setattr(Search, "_walk", lambda self, root, path: walked.append(root))
     table = ConstraintTable([make_traj([(0, 21), (30, 20)])])
     search = Search(GridMap.empty(32, 32), table, (20, 14), (20, 20), CARDINAL)
     search.run()
     assert search.bound > 6.0 and search.expansions > 0
-    assert tried == []
+    assert tried[0] is search.nodes[((20, 14), 0)] and len(tried) == search.expansions
+    assert walked == []
 
 
 def test_late_exit_never_cuts_a_blocked_corner(monkeypatch):
@@ -552,13 +555,13 @@ def test_late_exit_never_cuts_a_blocked_corner(monkeypatch):
     # table, which lacks it; h(2, 2) = 2 / K16 > sqrt 2 rules it out too.
     grid = GridMap.from_blocked(8, 8, [(3, 2)])
     obstacle = make_traj([(3, 3), (7, 7)], waits=[8.0])
-    tried, straight_exit = [], Search._straight_exit
+    tried, exit_ = [], Search._exit
 
     def watched(self, s):
         tried.append(s.cfg)
-        return straight_exit(self, s)
+        return exit_(self, s)
 
-    monkeypatch.setattr(Search, "_straight_exit", watched)
+    monkeypatch.setattr(Search, "_exit", watched)
     traj = plan(grid, [obstacle], (0, 0), (3, 3), AA)
     assert (2, 2) in tried
     wps = traj.waypoints
@@ -567,15 +570,15 @@ def test_late_exit_never_cuts_a_blocked_corner(monkeypatch):
 
 
 def test_late_exit_leaves_no_static_violation_on_blocked_maps(monkeypatch):
-    fired, straight_exit = [], Search._straight_exit
+    fired, exit_ = [], Search._exit
 
     def watched(self, s):
-        ended = straight_exit(self, s)
+        ended = exit_(self, s)
         if ended:
             fired.append(s)
         return ended
 
-    monkeypatch.setattr(Search, "_straight_exit", watched)
+    monkeypatch.setattr(Search, "_exit", watched)
     solved = 0
     for seed in range(20):
         inst = generate_instance(blocked_grid(24, 0.2, seed), 16, seed, "separated")
@@ -671,7 +674,7 @@ def test_late_exit_cuts_the_open_grid_work(monkeypatch):
     monkeypatch.setattr(Search, "run", counting_run)
     for exit_on in (True, False):
         if not exit_on:
-            monkeypatch.setattr(Search, "_straight_exit", lambda self, s, f=Search._straight_exit:
+            monkeypatch.setattr(Search, "_exit", lambda self, s, f=Search._exit:
                                 s.parent is None and f(self, s))
         expansions.append(0)
         for inst in instances:
@@ -700,7 +703,7 @@ def test_free_cardinal_path_ends_before_any_expansion(goal, cells, monkeypatch):
     assert [wp.arrival for wp in traj.waypoints] == list(range(len(cells)))
     assert [rec[0] for rec in trace] == [(5, 5), goal]
     # The loop alone returns the same waypoints.
-    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
+    monkeypatch.setattr(Search, "_exit", lambda self, s: False)
     loop = Search(GridMap.empty(10, 10), ConstraintTable([]), (5, 5), goal, CARDINAL)
     assert reconstruct(loop.run()).waypoints == traj.waypoints
     assert loop.expansions > 0
@@ -718,7 +721,7 @@ def test_free_cardinal_path_builds_no_records_or_windows_on_its_way(monkeypatch)
     assert search.expansions == 0
     assert len(search._cols) == 1
     assert len(search._cells) == 2
-    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
+    monkeypatch.setattr(Search, "_exit", lambda self, s: False)
     loop = Search(grid, table, start, goal, CARDINAL)
     assert reconstruct(loop.run()).waypoints == traj.waypoints
 
@@ -741,7 +744,7 @@ def test_walk_checks_a_hop_whose_piece_lies_under_its_source_only(monkeypatch):
     # express, so the oracle bounds it from above only.
     oracle = time_expanded_exact_best_cost(grid, [obstacle], start, goal)
     assert 5.0 < traj.cost() <= oracle + 1e-6
-    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
+    monkeypatch.setattr(Search, "_exit", lambda self, s: False)
     loop = Search(grid, table, start, goal, CARDINAL)
     assert reconstruct(loop.run()).waypoints == traj.waypoints
 
@@ -799,23 +802,17 @@ def test_every_state_arrives_inside_its_interval(monkeypatch):
 
 @pytest.mark.parametrize("mode", [AA, CARDINAL], ids=["aa", "cardinal"])
 def test_start_at_goal_logs_one_record(mode, monkeypatch):
-    # There is no hop to walk, on an open or a blocked grid: the walk
-    # declines, and the loop pops the start as the goal without an expansion
-    # and logs it once.
-    walked, walk = [], Search._walk
-
-    def watched(self, root, path, goal_iv):
-        walked.append(walk(self, root, path, goal_iv))
-        return walked[-1]
-
-    monkeypatch.setattr(Search, "_walk", watched)
+    # On an open or a blocked grid the loop pops the start as the goal
+    # before it tries an exit, ends without an expansion and logs it once.
+    walked = []
+    monkeypatch.setattr(Search, "_exit", lambda self, s: walked.append(s))
     obstacles = ConstraintTable([make_traj([(5, 0), (5, 5)])])
     for blocked in ([], [(1, 3), (3, 3), (2, 4)]):
         trace, walked[:] = [], []
         search = Search(GridMap.from_blocked(6, 6, blocked), obstacles, (2, 3), (2, 3), mode,
                         trace=trace)
         end = search.run()
-        assert walked == [False]
+        assert walked == []
         assert end.cfg == (2, 3) and end.g == 0.0 and end.parent is None
         assert search.expansions == 0
         assert trace == [((2, 3), 0.0, INF, 0.0, 0.0)]
@@ -834,15 +831,15 @@ def test_walk_skips_no_table_check_that_could_fail_on_an_open_grid(monkeypatch):
     instances += [generate_instance(grid, 6, seed, "walk", walk_steps=8) for seed in range(30)]
     served, walk = [], Search._walk
 
-    def counted(self, root, path, goal_iv):
-        served.append(walk(self, root, path, goal_iv))
+    def counted(self, root, path):
+        served.append(walk(self, root, path))
         return served[-1]
 
-    def checked(self, root, path, goal_iv):
+    def checked(self, root, path):
         cells = [root.cfg] + list(path)
         if any(b not in self._next[a] for a, b in zip(cells, cells[1:])):
             return False
-        return walk(self, root, path, goal_iv)
+        return walk(self, root, path)
 
     def outputs(mode, walker):
         monkeypatch.setattr(Search, "_walk", walker)
@@ -852,7 +849,7 @@ def test_walk_skips_no_table_check_that_could_fail_on_an_open_grid(monkeypatch):
     with_walk = outputs(CARDINAL, counted)
     assert served.count(True) > 100 and served.count(False) > 10
     assert outputs(CARDINAL, checked) == with_walk
-    assert outputs(CARDINAL, lambda self, root, path, goal_iv: False) == with_walk
+    assert outputs(CARDINAL, lambda self, root, path: False) == with_walk
 
 
 def test_cardinal_path_exit_leaves_plan_all_unchanged(monkeypatch):
@@ -879,8 +876,8 @@ def test_cardinal_path_exit_leaves_plan_all_unchanged(monkeypatch):
     served, sparse_hops = [], []
     walk = Search._walk
 
-    def counted(self, root, path, goal_iv):
-        result = walk(self, root, path, goal_iv)
+    def counted(self, root, path):
+        result = walk(self, root, path)
         if path:
             served.append(result)
         if path and self.grid.width == 32:
@@ -891,7 +888,7 @@ def test_cardinal_path_exit_leaves_plan_all_unchanged(monkeypatch):
 
     monkeypatch.setattr(Search, "_walk", counted)
     with_exit = outputs()
-    monkeypatch.setattr(Search, "_walk", lambda self, root, path, goal_iv: False)
+    monkeypatch.setattr(Search, "_exit", lambda self, s: False)
     assert outputs() == with_exit
     # Both outcomes occur often, and some runs fail.
     assert served.count(True) > 500 and served.count(False) > 100
@@ -910,9 +907,9 @@ def test_walk_records_no_cell_outside_the_successor_table(monkeypatch):
         assert self.grid.is_traversable(cfg), cfg
         return record(self, cfg)
 
-    def watched_walk(self, root, path, goal_iv):
+    def watched_walk(self, root, path):
         crossing.append(not self.grid.cells_traversable(path))
-        return walk(self, root, path, goal_iv)
+        return walk(self, root, path)
 
     monkeypatch.setattr(Search, "_record", checked_record)
     monkeypatch.setattr(Search, "_walk", watched_walk)
