@@ -327,23 +327,22 @@ def maze(rooms, seed):
     wide: a map of 3 rooms + 1 cells a side."""
     rng = random.Random(seed)
     size = 3 * rooms + 1
-    free = set()
-    seen, stack = {(0, 0)}, [(0, 0)]
+
+    def joined(i, j, k, m):
+        # Rooms (i, j) and (k, m) and the passage between them: one box.
+        return {(x, y) for x in range(3 * min(i, k) + 1, 3 * max(i, k) + 3)
+                for y in range(3 * min(j, m) + 1, 3 * max(j, m) + 3)}
+
+    free, seen, stack = joined(0, 0, 0, 0), {(0, 0)}, [(0, 0)]
     while stack:
         i, j = stack[-1]
-        free |= {(3 * i + 1 + a, 3 * j + 1 + b) for a in (0, 1) for b in (0, 1)}
         nxt = [(i + di, j + dj) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
                if 0 <= i + di < rooms and 0 <= j + dj < rooms and (i + di, j + dj) not in seen]
         if not nxt:
             stack.pop()
             continue
         k, m = rng.choice(nxt)
-        # The wall between the two cells opens over both of their shared rows
-        # or columns.
-        if k != i:
-            free |= {(3 * max(i, k), 3 * j + 1 + b) for b in (0, 1)}
-        else:
-            free |= {(3 * i + 1 + a, 3 * max(j, m)) for a in (0, 1)}
+        free |= joined(i, j, k, m)
         seen.add((k, m))
         stack.append((k, m))
     return GridMap.from_blocked(size, size, [(c, r) for c in range(size) for r in range(size)

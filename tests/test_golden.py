@@ -2,8 +2,8 @@
 
 For each instance and mode the golden file holds the per-agent statuses, the
 exact ``total_cost``, the sha256 of every ``format_trajectory`` line and the
-sha256 of every search trace record, in the form the CLI's ``--trace`` file
-writes it. Any change to the planner that moves a single waypoint, arrival
+sha256 of every search trace record, written as the CLI's ``--trace`` file
+writes its columns after instance, mode and agent. Any change to the planner that moves a single waypoint, arrival
 or wait, or that pops a different state, fails this test; a change meant to
 alter trajectories or traces must say so and regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py --write``, which prints each

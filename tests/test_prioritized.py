@@ -484,8 +484,8 @@ def test_rooms_sweep_solutions_validate():
 @pytest.mark.parametrize("family", ["corridors", "maze"])
 def test_map_family_sweep_solutions_validate(family):
     # The same sweep, seeds 0-11, on 22x22 maps: corridors two rows wide with
-    # two openings in each wall and 12 agents, or a maze of 7x7 two-cell
-    # rooms and passages and 10 agents. Both drive the cardinal walk's
+    # two openings in each wall and 12 agents, or a maze of 7x7 two-by-two
+    # rooms joined by two-wide passages and 10 agents. Both drive the cardinal walk's
     # successor-table check over blocked cells. Seeds 0-24 solved 99 of 100
     # runs on corridors and 100 of 100 on mazes.
     if family == "corridors":
